@@ -19,8 +19,6 @@ __all__ = [
     "log_mat_vec",
     "log_matmul",
     "normalize_log",
-    "categorical_from_log",
-    "categorical_from_log_batch",
 ]
 
 
@@ -68,24 +66,3 @@ def normalize_log(log_w: np.ndarray) -> tuple[np.ndarray, float]:
     p = np.exp(log_w - log_z)
     p /= p.sum()
     return p, log_z
-
-
-def categorical_from_log(log_w: np.ndarray, u: float) -> int:
-    """Index drawn from unnormalized log weights using one uniform u."""
-    c = np.max(log_w)
-    if not np.isfinite(c):
-        raise ValueError("cannot sample from zero mass")
-    w = np.exp(log_w - c)
-    cum = np.cumsum(w)
-    return int(np.searchsorted(cum, u * cum[-1], side="right").clip(0, len(cum) - 1))
-
-
-def categorical_from_log_batch(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise categorical draws: log_w is (R, S), u is (R,) uniforms."""
-    c = np.max(log_w, axis=1, keepdims=True)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cannot sample from zero mass")
-    w = np.exp(log_w - c)
-    cum = np.cumsum(w, axis=1)
-    targets = u * cum[:, -1]
-    return (cum < targets[:, None]).sum(axis=1).clip(0, log_w.shape[1] - 1)

@@ -579,7 +579,6 @@ def _walk_side_dominance(cfg: RunConfig, n: int) -> dict:
     kernel = build_kernel(cfg)
     lam = cfg["model.lambda"]
     tilt = build_tilt(cfg, lam)
-    u = tuple(int(round(x / mc.h_scale(tilt.potential).h_small)) for x in cfg["dominance.u"])
     u = an.snap_lattice_chamber(cfg["dominance.u"], mc.h_scale(tilt.potential).h_big)
     u_hi = an.snap_lattice_chamber(cfg["dominance.u_raised"], mc.h_scale(tilt.potential).h_big)
     half = max(int(round(lam ** (-2.0 / 3.0) * cfg["oracle.m"])), 2)

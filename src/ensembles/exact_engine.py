@@ -1,9 +1,12 @@
 """Exact transfer-operator computations for the tilted non-intersecting
 ensemble on a truncated ordered state space.
 
-Partition values, marginals, restricted joint laws, conditional bridge
-laws, and exact forward-filter backward-sampling all run in log space;
-zero mass is an explicit -inf, never an underflowed float.
+Partition values, marginals, restricted joint laws and conditional
+bridge laws run in log space; zero mass is an explicit -inf, never an
+underflowed float.  Exact sampling is forward filtering / backward
+sampling: one batched draw per time step for all samples, each weighing
+at most M = |offsets|^n candidates from a predecessor table, with one
+spawned random stream per sample.
 """
 
 from __future__ import annotations
@@ -122,8 +125,9 @@ def _kernel_moves(kernel: Kernel, n: int) -> list[tuple[np.ndarray, float]]:
     return moves
 
 
-def _step_probability_matrix(states: StateSpace, kernel: Kernel):
-    """Sparse matrix of free-walk step probabilities between chamber states."""
+def _successor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """(S, M) id of the state each product move leads to, -1 where the move
+    leaves the chamber, and the M = |offsets|^n move probabilities."""
     moves = _kernel_moves(kernel, states.n)
     if states.size * len(moves) > state_budget():
         raise TooLarge(
@@ -133,31 +137,43 @@ def _step_probability_matrix(states: StateSpace, kernel: Kernel):
     base = states.x_max + 1
     pows = base ** np.arange(states.n - 1, -1, -1, dtype=np.int64)
     keys = arr @ pows  # ascending because states are sorted lexicographically
-    rows, cols, vals = [], [], []
-    for delta, p in moves:
+    succ = np.full((states.size, len(moves)), -1, dtype=np.int64)
+    for k, (delta, _) in enumerate(moves):
         tgt = arr + delta
         valid = (tgt[:, -1] >= 1) & (tgt[:, 0] <= states.x_max)
         if states.n > 1:
             valid &= np.all(tgt[:, :-1] > tgt[:, 1:], axis=1)
-        if not valid.any():
-            continue
         tkeys = tgt @ pows
-        pos = np.searchsorted(keys, tkeys)
-        pos_c = pos.clip(0, states.size - 1)
-        ok = valid & (keys[pos_c] == tkeys)
-        idx = np.nonzero(ok)[0]
-        rows.append(idx)
-        cols.append(pos_c[idx])
-        vals.append(np.full(idx.shape, p))
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(states.size, states.size)).tocsr()
+        pos = np.searchsorted(keys, tkeys).clip(0, states.size - 1)
+        ok = valid & (keys[pos] == tkeys)
+        succ[ok, k] = pos[ok]
+    return succ, np.array([p for _, p in moves])
+
+
+def _step_probability_matrix(states: StateSpace, kernel: Kernel):
+    """Sparse matrix of free-walk step probabilities between chamber states."""
+    succ, probs = _successor_table(states, kernel)
+    valid = succ >= 0
+    indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+    data = np.broadcast_to(probs, succ.shape)[valid]
+    mat = sp.csr_matrix((data, succ[valid], indptr), shape=(states.size, states.size))
     mat.sum_duplicates()
     if states.size <= _DENSE_LIMIT:
         return mat.toarray()
     return mat
+
+
+def predecessor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """(S, M) id of the state each product move comes from, -1 where that
+    state is outside the chamber, and the M move probabilities.
+
+    A backward draw for the state at t + 1 then weighs M candidates
+    instead of all S states."""
+    succ, probs = _successor_table(states, kernel)
+    pred = np.full_like(succ, -1)
+    rows, moves = np.nonzero(succ >= 0)
+    pred[succ[rows, moves], moves] = rows
+    return pred, probs
 
 
 def tilt_log_vector(states: StateSpace, tilt: TiltSpec) -> np.ndarray:
@@ -522,22 +538,72 @@ def conditional_bridge_law(
 # exact sampling
 
 
-def _sample_path_indices(
-    res: TransferResult,
-    log_step_dense: np.ndarray,
-    rng: np.random.Generator,
+def categorical(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise draws from nonnegative weights: the first index whose
+    cumulative weight exceeds u times the row total, so a zero-weight entry
+    is never drawn, even for u = 0.  ``weights`` is (R, K), or (1, K) to
+    share one row among all R uniforms in ``u``."""
+    top = weights.max(axis=1, keepdims=True)
+    if not np.all(top > 0):
+        raise ValueError("cannot sample from zero mass")
+    cum = np.cumsum(weights / top, axis=1)  # totals in [1, K]: u * total < total
+    if cum.shape[0] == 1:
+        return np.searchsorted(cum[0], u * cum[0, -1], side="right")
+    return (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+
+
+def ffbs(
+    pred: np.ndarray,
+    probs: np.ndarray,
+    fwd: np.ndarray,
+    first,
+    last,
+    us: np.ndarray,
 ) -> np.ndarray:
-    w = res.spec.width
-    idxs = np.empty(w, dtype=np.int64)
-    if isinstance(res.spec.boundary, Bridge):
-        idxs[-1] = res.states.id_of(res.spec.boundary.v)
-    else:
-        idxs[-1] = la.categorical_from_log(res.forward[-1], rng.random())
-    for t in range(w - 2, 0, -1):
-        weights = res.forward[t] + log_step_dense[:, idxs[t + 1]]
-        idxs[t] = la.categorical_from_log(weights, rng.random())
-    idxs[0] = res.states.id_of(res.spec.boundary.u)
-    return idxs
+    """Batched backward sampling (Carter & Kohn 1994) over a predecessor table.
+
+    ``fwd`` is (T+1, R or 1, S) forward weights in linear space, each row
+    scaled freely; a single row is shared by all R draws.  For t < T a
+    row holds the tilted weight of each state as the source of the next
+    step; at T it holds the plain forward weight.  ``first`` is the fixed
+    start id; ``last`` the end ids, or None to draw them from ``fwd[T]``.
+    ``us`` is (R, k) uniforms taken column by column: the end when drawn,
+    then times T-1 down to 1.  Returns (T+1, R) state ids.
+    """
+    steps = fwd.shape[0] - 1
+    r = us.shape[0]
+    cols = iter(us.T)
+    ids = np.empty((steps + 1, r), dtype=np.int64)
+    ids[0] = first
+    ids[steps] = categorical(fwd[steps], next(cols)) if last is None else last
+    rows = np.arange(r)
+    chain = rows[:, None] if fwd.shape[1] > 1 else 0
+    for t in range(steps - 1, 0, -1):
+        cand = pred[ids[t + 1]]  # (R, M); -1 marks a move from outside the chamber
+        w = np.where(cand >= 0, fwd[t][chain, cand], 0.0) * probs
+        ids[t] = cand[rows, categorical(w, next(cols))]
+    return ids
+
+
+def sample_draws(spec: EnsembleSpec) -> int:
+    """Uniforms one exact draw consumes: the free end, then the interior."""
+    return spec.width - 2 + isinstance(spec.boundary, Walk)
+
+
+def sample_heights(res: TransferResult, kernel: Kernel, us: np.ndarray) -> np.ndarray:
+    """(R, n, width) heights of R exact draws from the ensemble behind
+    ``res``, one per row of the (R, sample_draws) uniforms ``us``."""
+    spec, states = res.spec, res.states
+    if not np.isfinite(res.log_z):
+        raise ValueError("ensemble has zero total mass; nothing to sample")
+    g = res.forward.copy()
+    g[:-1] += res.step.log_tilt
+    top = g.max(axis=1, keepdims=True)
+    fwd = np.exp(g - np.where(np.isfinite(top), top, 0.0))[:, None, :]
+    pred, probs = predecessor_table(states, kernel)
+    last = states.id_of(spec.boundary.v) if isinstance(spec.boundary, Bridge) else None
+    ids = ffbs(pred, probs, fwd, states.id_of(spec.boundary.u), last, us)
+    return np.ascontiguousarray(states.arr[ids].transpose(1, 2, 0))
 
 
 def exact_sample(
@@ -549,22 +615,17 @@ def exact_sample(
 ) -> list[PathConfig]:
     """i.i.d. exact samples by forward filtering / backward sampling.
 
-    Deterministic given the seed; each sample consumes its own spawned
-    random stream, so results do not depend on batching or parallelism.
+    All samples are drawn together, one batched backward step per time,
+    each weighing at most M = |offsets|^n predecessor candidates.  Every
+    sample consumes its own spawned random stream, so sample i is the
+    same for any count > i and results do not depend on batching.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
     res = ensemble_messages(spec, kernel, tilt)
-    if not np.isfinite(res.log_z):
-        raise ValueError("ensemble has zero total mass; nothing to sample")
-    log_step = res.step.dense_log()
+    k = sample_draws(spec)
     children = np.random.SeedSequence(seed).spawn(count)
-    out = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        idxs = _sample_path_indices(res, log_step, rng)
-        heights = res.states.arr[idxs].T.copy()
-        out.append(PathConfig(heights=heights, spec=spec))
-    return out
+    us = np.array([np.random.default_rng(c).random(k) for c in children])
+    return [PathConfig(heights=h, spec=spec) for h in sample_heights(res, kernel, us)]

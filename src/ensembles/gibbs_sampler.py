@@ -4,7 +4,10 @@ Each block update is an exact draw from the conditional bridge (or
 conditional walk) law given the block endpoints, so there is no
 acceptance step to tune.  Chains are vectorized internally: a batch of
 independent chains shares the block schedule while every chain consumes
-its own spawned random stream.
+its own spawned random stream.  A block redraw is a scaled linear-space
+forward pass for all chains, then one batched backward draw over at most
+M = |offsets|^n predecessor candidates per chain; the starting
+configurations are one such draw from the untilted ensemble.
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from . import _linalg as la
 from . import exact_engine as ee
 from .model_core import (
-    NEG_INF,
     Bridge,
     EnsembleSpec,
     Kernel,
@@ -29,6 +30,8 @@ from .model_core import (
     TiltSpec,
     Walk,
 )
+
+_EXP_CAP = 700.0  # largest exponent taken in the linear block pass; exp(709.8) overflows
 
 
 class Infeasible(ValueError):
@@ -87,18 +90,17 @@ class ChainDiagnostics:
 @lru_cache(maxsize=32)
 def _local_transfer(n: int, x_loc: int, kernel: Kernel, tilt: TiltSpec | None):
     states = ee.enumerate_states(n, x_loc)
-    mat = ee._step_probability_matrix(states, kernel)
-    dense = mat if isinstance(mat, np.ndarray) else mat.toarray()
+    # transposed sparse operator: the batched forward pass is O(nnz), not O(S^2)
+    mat_t = sp.csr_matrix(ee._step_probability_matrix(states, kernel).T)
     log_tilt = np.zeros(states.size) if tilt is None else ee.tilt_log_vector(states, tilt)
-    with np.errstate(divide="ignore"):
-        log_step = np.log(dense) + log_tilt[:, None]
-    # sparse matvec keeps the batched forward pass O(nnz), not O(S^2)
-    if isinstance(mat, np.ndarray):
-        mat = sp.csr_matrix(mat)
+    pred, probs = ee.predecessor_table(states, kernel)
+    to, move = np.nonzero(pred >= 0)
+    # largest change of the log tilt along one step
+    tilt_step = float(np.abs(log_tilt[pred[to, move]] - log_tilt[to]).max()) if to.size else 0.0
     base = x_loc + 1
     pows = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
     keys = states.arr @ pows
-    return states, mat, log_tilt, log_step, keys, pows
+    return states, mat_t, log_tilt, tilt_step, pred, probs, keys, pows
 
 
 def _column_ids(keys: np.ndarray, pows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -175,29 +177,45 @@ def _apply_block_batch(
         ends_top = max(ends_top, int(heights[:, 0, spec.col(l)].max()))
     x_loc = ends_top + m * kernel.max_step + 2
     x_loc = min(spec.x_max, int(math.ceil(x_loc / 4.0)) * 4)
-    states, mat, log_tilt, log_step, keys, pows = _local_transfer(spec.n, x_loc, kernel, tilt)
+    states, mat_t, log_tilt, tilt_step, pred, probs, keys, pows = _local_transfer(
+        spec.n, x_loc, kernel, tilt
+    )
 
     r = heights.shape[0]
     start = _column_ids(keys, pows, heights[:, :, col_k])
-    fwd = np.full((m + 1, r, states.size), NEG_INF)
-    fwd[0, np.arange(r), start] = 0.0
-    for t in range(1, m + 1):
-        fwd[t] = la.log_vec_mat(fwd[t - 1], mat, log_tilt)
+    last = None
+    if not free:
+        end = heights[:, :, spec.col(l)]
+        last = _column_ids(keys, pows, end)
+        # steps each state needs at least to reach its chain's pinned end
+        to_end = np.abs(states.arr.T[:, :, None] - end.T[:, None, :]).max(axis=0)
+    # Scaled forward pass in linear space (Rabiner 1989), one column per
+    # chain.  exp(tilt) is shifted per chain by the largest log tilt on its
+    # support, so a chain far above the tilt minimum keeps its column in
+    # range.  The support gains at most tilt_step per step, so the shift is
+    # renewed every `every` steps to keep exponents on it below _EXP_CAP;
+    # the cap itself only keeps states off the support finite.  States
+    # that cannot reach a pinned end are zeroed first, so the shift and
+    # the row scale follow the mass that the bridge can use.
+    every = int(_EXP_CAP // tilt_step) + 1 if tilt_step > 0 else m
+    fwd = np.zeros((m + 1, states.size, r))
+    fwd[0, start, np.arange(r)] = 1.0
+    for t in range(1, m):
+        f = mat_t @ fwd[t - 1]
+        if not free:
+            f *= to_end <= (m - t) * kernel.max_step
+        if (t - 1) % every == 0:
+            top = np.where(f > 0, log_tilt[:, None], -np.inf).max(axis=0)
+            tilt_w = np.exp(np.minimum(log_tilt[:, None] - top, _EXP_CAP))
+        f *= tilt_w
+        scale = f.max(axis=0)
+        fwd[t] = f / np.where(scale > 0, scale, 1.0)
+    fwd[m] = mat_t @ fwd[m - 1]
 
-    idx = np.empty((m + 1, r), dtype=np.int64)
-    if free:
-        idx[m] = la.categorical_from_log_batch(fwd[m], us[:, cursor])
-        cursor += 1
-    else:
-        idx[m] = _column_ids(keys, pows, heights[:, :, spec.col(l)])
-    for t in range(m - 1, 0, -1):
-        w = fwd[t] + log_step[:, idx[t + 1]].T
-        idx[t] = la.categorical_from_log_batch(w, us[:, cursor])
-        cursor += 1
-    last = m if free else m - 1
-    for t in range(1, last + 1):
-        heights[:, :, col_k + t] = states.arr[idx[t]]
-    return cursor
+    idx = ee.ffbs(pred, probs, fwd.transpose(0, 2, 1), start, last, us[:, cursor : cursor + n_draw])
+    stop = m if free else m - 1
+    heights[:, :, col_k + 1 : col_k + stop + 1] = states.arr[idx[1 : stop + 1]].transpose(1, 2, 0)
+    return cursor + n_draw
 
 
 def _sweep_batch(
@@ -217,79 +235,9 @@ def _sweep_batch(
 # initial configuration
 
 
-def _ffbs_ids_fixed_ends(states, mat, log_step, i_from, i_to, m, rng) -> np.ndarray:
-    fwd = np.full((m + 1, states.size), NEG_INF)
-    fwd[0, i_from] = 0.0
-    zeros = np.zeros(states.size)
-    for t in range(1, m + 1):
-        fwd[t] = la.log_vec_mat(fwd[t - 1], mat, zeros)
-    ids = np.empty(m + 1, dtype=np.int64)
-    ids[m] = i_to
-    ids[0] = i_from
-    for t in range(m - 1, 0, -1):
-        ids[t] = la.categorical_from_log(fwd[t] + log_step[:, ids[t + 1]], rng.random())
-    return ids
-
-
-@dataclass
-class _InitPlan:
-    """Shared untilted message structures; drawing a sample is then cheap."""
-
-    spec_loc: EnsembleSpec
-    res: ee.TransferResult
-    log_step: np.ndarray
-    anchor_ts: list
-    gaps: list
-    powers: dict
-
-
-_INIT_CHUNK = 48
-
-
-def _untilted_plan(spec_loc: EnsembleSpec, kernel: Kernel) -> "_InitPlan | None":
-    states = ee.enumerate_states(spec_loc.n, spec_loc.x_max)
-    res = ee._compute_messages(spec_loc, kernel, states, np.zeros(states.size))
-    if not np.isfinite(res.log_z):
-        return None
-    log_step = res.step.dense_log()
-    if spec_loc.width <= _INIT_CHUNK + 1:
-        return _InitPlan(spec_loc, res, log_step, [], [], {})
-    anchor_ts = list(range(spec_loc.m_left, spec_loc.n_right, _INIT_CHUNK)) + [spec_loc.n_right]
-    gaps = [b - a for a, b in zip(anchor_ts, anchor_ts[1:])]
-    powers = ee._dense_log_power_chain(res.step, gaps)
-    return _InitPlan(spec_loc, res, log_step, anchor_ts, gaps, powers)
-
-
-def _draw_untilted(plan: _InitPlan, rng: np.random.Generator) -> np.ndarray:
-    """One exact untilted sample, chunk by chunk for long windows: anchors
-    come from the coarse (subsampled) chain, then each sub-window is
-    filled as a bridge between its anchors."""
-    spec_loc, res = plan.spec_loc, plan.res
-    states = res.states
-    if not plan.anchor_ts:
-        idxs = ee._sample_path_indices(res, plan.log_step, rng)
-        return states.arr[idxs].T.copy()
-    n_anchor = len(plan.anchor_ts)
-    anchor_ids = np.empty(n_anchor, dtype=np.int64)
-    if isinstance(spec_loc.boundary, Bridge):
-        anchor_ids[-1] = states.id_of(spec_loc.boundary.v)
-    else:
-        anchor_ids[-1] = la.categorical_from_log(res.forward[-1], rng.random())
-    for i in range(n_anchor - 2, 0, -1):
-        weights = res.forward[res.col(plan.anchor_ts[i])] + plan.powers[plan.gaps[i]][:, anchor_ids[i + 1]]
-        anchor_ids[i] = la.categorical_from_log(weights, rng.random())
-    anchor_ids[0] = states.id_of(spec_loc.boundary.u)
-    heights = np.empty((spec_loc.n, spec_loc.width), dtype=np.int64)
-    for i, gap in enumerate(plan.gaps):
-        ids = _ffbs_ids_fixed_ends(
-            states, res.step.matrix, plan.log_step, anchor_ids[i], anchor_ids[i + 1], gap, rng
-        )
-        c0 = res.col(plan.anchor_ts[i])
-        heights[:, c0 : c0 + gap + 1] = states.arr[ids].T
-    return heights
-
-
-def _make_init_plan(spec: EnsembleSpec, kernel: Kernel) -> _InitPlan:
+def _untilted_messages(spec: EnsembleSpec, kernel: Kernel) -> ee.TransferResult:
+    """Untilted messages on the smallest doubled height cutoff (up to
+    spec.x_max) that admits a path."""
     if isinstance(spec.boundary, Bridge):
         try:
             ee._bridge_parity_check(spec, kernel)
@@ -300,12 +248,21 @@ def _make_init_plan(spec: EnsembleSpec, kernel: Kernel) -> _InitPlan:
         tops.append(spec.boundary.v[0])
     x_init = min(spec.x_max, max(tops) + 2 * spec.n + 8)
     while True:
-        plan = _untilted_plan(replace(spec, x_max=x_init), kernel)
-        if plan is not None:
-            return plan
+        states = ee.enumerate_states(spec.n, x_init)
+        res = ee._compute_messages(replace(spec, x_max=x_init), kernel, states, np.zeros(states.size))
+        if np.isfinite(res.log_z):
+            return res
         if x_init >= spec.x_max:
             raise Infeasible(f"no admissible path within x_max={spec.x_max} for this boundary")
         x_init = min(spec.x_max, 2 * x_init)
+
+
+def _init_heights(spec: EnsembleSpec, kernel: Kernel, gens: Sequence[np.random.Generator]) -> np.ndarray:
+    """(chains, n, width) exact draws from the untilted wall-constrained
+    ensemble, one batched draw with one generator per chain."""
+    res = _untilted_messages(spec, kernel)
+    k = ee.sample_draws(spec)
+    return ee.sample_heights(res, kernel, np.array([g.random(k) for g in gens]))
 
 
 def init_config(spec: EnsembleSpec, kernel: Kernel, rng: np.random.Generator | None = None) -> PathConfig:
@@ -317,8 +274,7 @@ def init_config(spec: EnsembleSpec, kernel: Kernel, rng: np.random.Generator | N
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    plan = _make_init_plan(spec, kernel)
-    return PathConfig(heights=_draw_untilted(plan, rng), spec=spec)
+    return PathConfig(heights=_init_heights(spec, kernel, [rng])[0], spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +341,7 @@ def sample_paths(
     n_draw = _sweep_draws(spec, blocks)
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(params.seed).spawn(params.chains)]
     r = params.chains
-    plan = _make_init_plan(spec, kernel)
-    heights = np.stack([_draw_untilted(plan, g) for g in gens]).astype(np.int64)
+    heights = _init_heights(spec, kernel, gens)
 
     t_center = (spec.m_left + spec.n_right) // 2
     col_c = spec.col(t_center)

@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import brute_law, brute_partition
+from conftest import brute_law, brute_partition, chi_square_p
 from ensembles import exact_engine as ee
 from ensembles import model_core as mc
 
@@ -51,6 +53,17 @@ class TestStepMatrix:
         states = ee.enumerate_states(1, 6)
         step = ee.step_matrix(states, srw, tilt_of())
         assert step.entry((1,), (1,)) == 0.0
+
+    @pytest.mark.parametrize("kernel", ["srw", "lazy", "unit"])
+    def test_predecessor_table_matches_matrix(self, request, kernel):
+        kern = request.getfixturevalue(kernel)
+        states = ee.enumerate_states(2, 7)
+        pred, probs = ee.predecessor_table(states, kern)
+        dense = np.zeros((states.size, states.size))
+        for j, k in zip(*np.nonzero(pred >= 0)):
+            dense[pred[j, k], j] += probs[k]
+        assert pred.shape == (states.size, len(kern.offsets) ** 2)
+        assert np.array_equal(dense, ee._step_probability_matrix(states, kern))
 
     def test_crossing_target_is_not_a_state(self, lazy):
         states = ee.enumerate_states(2, 4)
@@ -236,8 +249,6 @@ class TestExactSample:
         assert ee.exact_sample(spec, lazy, tilt_of(), seed=0, count=0) == []
 
     def test_chi_square_against_marginals(self, lazy):
-        from conftest import chi_square_p
-
         spec = bridge_spec(1, 0, 4, (1,), (1,), x_max=8)
         tilt = tilt_of(lam=0.5)
         samples = ee.exact_sample(spec, lazy, tilt, seed=99, count=20_000)
@@ -247,6 +258,84 @@ class TestExactSample:
             for s in samples:
                 counts[res.states.id_of(s.column(t))] += 1
             assert chi_square_p(counts, ee.marginal_from_messages(res, t).probs) > 0.001
+
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @pytest.mark.parametrize("kernel", ["srw", "lazy", "unit"])
+    @pytest.mark.parametrize("kind", ["bridge", "walk"])
+    @pytest.mark.parametrize("n,u,steps,x_max", [(1, (2,), 4, 6), (2, (3, 1), 4, 6), (3, (6, 3, 1), 2, 8)])
+    def test_full_path_law_matches_brute_force(self, request, kernel, kind, n, u, steps, x_max):
+        kern = request.getfixturevalue(kernel)
+        if kind == "bridge":
+            spec = bridge_spec(n, 0, steps, u, u, x_max=x_max)
+        else:
+            spec = walk_spec(n, 0, steps, u, x_max=x_max)
+        law = brute_law(spec, kern, 1.0, 2.0, 0.4, list(spec.times))
+        paths = list(law)
+        assert len(paths) > 1
+        index = {p: i for i, p in enumerate(paths)}
+        counts = np.zeros(len(paths))
+        for s in ee.exact_sample(spec, kern, tilt_of(lam=0.4), seed=5, count=10_000):
+            path = tuple(s.column(t) for t in spec.times)
+            assert path in index, f"sampled path {path} has zero mass"
+            counts[index[path]] += 1
+        assert chi_square_p(counts, np.array([law[p] for p in paths])) > 0.001
+
+    @pytest.mark.parametrize("boundary", [mc.Bridge(u=(3, 1), v=(4, 2)), mc.Walk(u=(3, 1))])
+    def test_sample_i_independent_of_count(self, unit, boundary):
+        spec = mc.EnsembleSpec(n=2, m_left=-6, n_right=6, boundary=boundary, x_max=20)
+        tilt = tilt_of(lam=0.5)
+        many = ee.exact_sample(spec, unit, tilt, seed=3, count=200)
+        few = ee.exact_sample(spec, unit, tilt, seed=3, count=7)
+        assert all(np.array_equal(a.heights, b.heights) for a, b in zip(many[:7], few))
+
+
+def _first_above(weights, u):
+    """Reference rule, one row at a time: first index whose cumulative
+    weight exceeds u times the total."""
+    w = [x / max(weights) for x in weights]
+    target = u * float(np.cumsum(w)[-1])
+    acc = 0.0
+    for i, x in enumerate(w):
+        acc += x
+        if acc > target:
+            return i
+    raise AssertionError("no index above the target")
+
+
+class TestCategorical:
+    @pytest.mark.parametrize(
+        "u,expected", [(0.0, 1), (np.nextafter(1.0, 0.0), 3), (0.5, 2)]
+    )
+    def test_zero_weight_ends_never_drawn(self, u, expected):
+        w = np.array([[0.0, 1.0, 1.0, 1.0, 0.0]])
+        assert ee.categorical(w, np.array([u])).tolist() == [expected]
+        assert ee.categorical(np.repeat(w, 2, axis=0), np.array([u, u])).tolist() == [expected] * 2
+
+    def test_zero_mass_rejected(self):
+        with pytest.raises(ValueError):
+            ee.categorical(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.5, 0.5]))
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0.0, 1e-300, 1e-3, 0.5, 1.0, 7.0]), min_size=1, max_size=8),
+            min_size=1,
+            max_size=6,
+        ).filter(lambda rows: len({len(r) for r in rows}) == 1 and all(max(r) > 0 for r in rows)),
+        st.lists(
+            st.one_of(st.just(0.0), st.just(float(np.nextafter(1.0, 0.0))), st.floats(0.0, 1.0, exclude_max=True)),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    def test_matches_reference_rule(self, rows, us):
+        w = np.array(rows)
+        u = np.array(us[: len(rows)])
+        got = ee.categorical(w, u)
+        assert got.tolist() == [_first_above(r, x) for r, x in zip(rows, u)]
+        assert np.all(w[np.arange(len(rows)), got] > 0)
+        shared = ee.categorical(w[:1], u)
+        assert shared.tolist() == [_first_above(rows[0], x) for x in u]
 
 
 class TestTvExact:

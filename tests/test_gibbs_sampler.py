@@ -97,6 +97,81 @@ class TestResampleBlock:
         assert chi_square_p(counts, ee.marginal_from_messages(res, 2).probs) > 0.001
 
 
+class _FixedUniform:
+    """Stands in for a Generator whose every uniform is the same value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+class TestExtremeUniforms:
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    def test_no_zero_weight_state_drawn(self, lazy, u):
+        # the lowest and highest local states are unreachable from (5) in two
+        # steps, so a draw landing on either breaks the kernel's step support
+        spec = bridge_spec(1, 0, 4, (5,), (5,), x_max=12)
+        cfg = gs.init_config(spec, lazy)
+        out = gs.resample_block(cfg, 0, 4, tilt_of(lam=0.3), lazy, _FixedUniform(u))
+        steps = np.diff(out.heights, axis=1)
+        assert set(steps.ravel().tolist()) <= set(lazy.offsets)
+        assert mc.log_tilt_weight(out, tilt_of(lam=0.3)) > mc.NEG_INF
+
+
+class TestSteepTilt:
+    @pytest.mark.parametrize("a", [2.0, 10.0])
+    def test_high_chain_column_law(self, unit, a):
+        # n=3, b=4, lambda=1 from the top of the space: the log tilt spans
+        # 189 * a nats over the local states, and with a = 10 a chain at the
+        # top sits ~1900 nats below the tilt maximum
+        from conftest import chi_square_p
+
+        tilt = tilt_of(a=a, b=4.0, lam=1.0)
+        top = (12, 11, 10)
+        spec = bridge_spec(3, 0, 2, top, top, x_max=12)
+        cfg = mc.PathConfig(heights=np.array([top, (11, 10, 9), top]).T, spec=spec)
+        law = ee.conditional_bridge_law(spec, unit, tilt, 0, 2, (top, top)).law
+        states = law.meta["states"]
+        rng = np.random.default_rng(21)
+        counts = np.zeros(states.size)
+        for _ in range(3000):
+            out = gs.resample_block(cfg, 0, 2, tilt, unit, rng)
+            counts[states.id_of(out.column(1))] += 1
+        assert chi_square_p(counts, law.probs) > 0.001
+
+    def test_steep_bridge_block_reaches_pinned_end(self, lazy):
+        # one step before the pinned end, the paths that can still reach it
+        # sit 900 nats below the forward maximum; zeroing the states that
+        # cannot reach it keeps them in range
+        spec = bridge_spec(1, 0, 6, (14,), (14,), x_max=20)
+        cfg = gs.init_config(spec, lazy)
+        out = gs.resample_block(cfg, 0, 6, tilt_of(a=150.0, lam=1.0), lazy, np.random.default_rng(0))
+        assert out.heights.tolist() == [[14, 13, 12, 11, 12, 13, 14]]
+
+    def test_long_steep_block_renews_shift(self, unit):
+        # a = 4: the log tilt moves up to 168 nats per step, so a 10-step
+        # block passes the exponent cap and the per-chain shift is renewed.
+        # Column 9 is checked: at column 5 the states of expected count < 5
+        # pool to 0.013 draws, so one legitimate draw there fails the test.
+        from conftest import chi_square_p
+
+        tilt = tilt_of(a=4.0, b=4.0, lam=1.0)
+        spec = walk_spec(3, 0, 10, (14, 13, 12), x_max=16)
+        res = ee.ensemble_messages(spec, unit, tilt)
+        assert np.isfinite(res.log_z)
+        exact = ee.marginal_from_messages(res, 9)
+        cfg = gs.init_config(spec, unit, rng=np.random.default_rng(3))
+        heights = np.repeat(cfg.heights[None], 2000, axis=0)
+        us = np.random.default_rng(22).random((2000, 10))
+        gs._apply_block_batch(heights, spec, unit, tilt, (0, None), us, 0)
+        counts = np.bincount(
+            [res.states.id_of(tuple(h)) for h in heights[:, :, 9]], minlength=res.states.size
+        )
+        assert chi_square_p(counts, exact.probs) > 0.001
+
+
 class TestSweep:
     def test_deterministic_under_seed(self, unit):
         spec = walk_spec(1, 0, 20, (2,), x_max=60)
