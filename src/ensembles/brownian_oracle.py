@@ -8,18 +8,18 @@ tilted by exp(-a * sum_i b^(i-1) x_i dt).  One-time marginals under
 zero / fixed / free boundary conditions and the stationary (large-time)
 density are the comparison targets for the lattice convergence
 experiments.
+The killed step is applied matrix-free (``_killed_step``), and the
+stationary density comes from Lanczos (ARPACK, Lehoucq, Sorensen & Yang
+1998) on the symmetrized tilted step.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _linalg as la
 from . import exact_engine as ee
@@ -29,7 +29,8 @@ STENCIL_REACH = 6  # Gaussian step truncated at 6 sigma (weight e^-18)
 
 
 class NoConvergence(RuntimeError):
-    """Power iteration failed to converge within the iteration budget."""
+    """The eigensolver did not converge, or its leading vector is not
+    nonnegative."""
 
 
 @dataclass(frozen=True)
@@ -117,50 +118,44 @@ class PolymerLaw:
 # chamber operator
 
 
-@lru_cache(maxsize=32)
-def _chamber_operator(n: int, n_sites: int):
-    """States and the killed free-step matrix G on the chamber.
+def _killed_step(n: int, n_sites: int):
+    """Chamber states and the killed free step G on them, matrix-free.
 
     Per coordinate the step weights e^{-m^2/2}, |m| <= 6, are normalized
-    over the stencil; moves leaving the chamber or the cap are dropped,
-    so row deficits are exactly the killed (wall-hitting) mass."""
+    over the stencil; G v zero-extends v onto the {1..n_sites}^n box,
+    correlates each axis with the stencil (zero outside the box) and
+    reads the chamber back out.  Killing acts only on the destination,
+    so this is exactly the step with moves leaving the chamber or the
+    cap dropped, and G is symmetric."""
+    from scipy.ndimage import correlate1d
+    from scipy.sparse.linalg import LinearOperator
+
+    if n_sites < n:
+        raise ValueError("height cap too small for n ordered curves")
+    if n_sites**n > ee.state_budget():
+        raise ee.TooLarge(f"{n_sites}^{n} box cells exceed budget {ee.state_budget():g}")
     states = ee.enumerate_states(n, n_sites)
     stencil = np.exp(-0.5 * np.arange(-STENCIL_REACH, STENCIL_REACH + 1) ** 2)
     stencil /= stencil.sum()
-    moves = []
-    for combo in itertools.product(range(2 * STENCIL_REACH + 1), repeat=n):
-        delta = np.array(combo, dtype=np.int64) - STENCIL_REACH
-        wgt = math.prod(stencil[i] for i in combo)
-        moves.append((delta, wgt))
-    if states.size * len(moves) > ee.state_budget():
-        raise ee.TooLarge(
-            f"{states.size} states x {len(moves)} stencil moves exceeds budget"
-        )
-    arr = states.arr
-    base = n_sites + 1
-    pows = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = arr @ pows
-    rows, cols, vals = [], [], []
-    for delta, wgt in moves:
-        tgt = arr + delta
-        valid = (tgt[:, -1] >= 1) & (tgt[:, 0] <= n_sites)
-        if n > 1:
-            valid &= np.all(tgt[:, :-1] > tgt[:, 1:], axis=1)
-        if not valid.any():
-            continue
-        tkeys = tgt @ pows
-        pos = np.searchsorted(keys, tkeys).clip(0, states.size - 1)
-        ok = valid & (keys[pos] == tkeys)
-        idx = np.nonzero(ok)[0]
-        rows.append(idx)
-        cols.append(pos[idx])
-        vals.append(np.full(idx.shape, wgt))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    g = sp.coo_matrix((vals, (rows, cols)), shape=(states.size, states.size)).tocsr()
-    g.sum_duplicates()
-    return states, g
+    flat = (states.arr - 1) @ n_sites ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        box = np.zeros(n_sites**n)
+        box[flat] = v.ravel()
+        box = box.reshape((n_sites,) * n)
+        for axis in range(n):
+            box = correlate1d(box, stencil, axis=axis, mode="constant")
+        return box.ravel()[flat]
+
+    return states, LinearOperator((states.size, states.size), matvec=apply, dtype=float)
+
+
+def check_polymer_budget(n: int, grid: GridSpec) -> None:
+    """Raise TooLarge when one polymer pass, box cells x stencil taps x
+    n axes x steps multiply-adds, exceeds 20 times the budget."""
+    work = grid.n_sites**n * (2 * STENCIL_REACH + 1) * n * grid.n_steps
+    if work > 20 * ee.state_budget():
+        raise ee.TooLarge(f"polymer pass of {work:.3g} multiply-adds exceeds budget")
 
 
 def _tilt_log_vector(states: ee.StateSpace, a: float, b: float, dx: float) -> np.ndarray:
@@ -216,19 +211,16 @@ def _boundary_vectors(
 
 
 def _polymer_messages(n: int, a: float, b: float, grid: GridSpec, boundary: BoundaryMode):
-    if grid.n_sites < n:
-        raise ValueError("height cap too small for n ordered curves")
-    states, g = _chamber_operator(n, grid.n_sites)
+    check_polymer_budget(n, grid)
+    states, g = _killed_step(n, grid.n_sites)
     log_tilt = _tilt_log_vector(states, a, b, grid.dx)
     steps = grid.n_steps
-    nnz = g.size if isinstance(g, np.ndarray) else g.nnz
-    if steps * nnz > 20 * ee.state_budget():
-        raise ee.TooLarge("time-stepping work exceeds budget")
     f0, bT, _ = _boundary_vectors(n, grid, boundary, states.size, states)
+    # G is symmetric, so the forward step is G applied to the tilted message
     fwd = np.empty((steps + 1, states.size))
     fwd[0] = f0
     for t in range(1, steps + 1):
-        fwd[t] = la.log_vec_mat(fwd[t - 1], g, log_tilt)
+        fwd[t] = la.log_mat_vec(g, 0.0, fwd[t - 1] + log_tilt)
     bwd = np.empty((steps + 1, states.size))
     bwd[steps] = bT
     for t in range(steps - 1, -1, -1):
@@ -294,40 +286,41 @@ def stationary_density(
     """Large-time one-time marginal: the product of left and right leading
     eigenvectors of the one-step tilted chamber operator.
 
-    The operator is e^{-a_s} G(s,s') with G symmetric, so power iteration
-    runs on the symmetrized form G(s,s') e^{-(a_s + a_s')/2}, whose
-    leading eigenvector v gives the stationary marginal as v^2."""
-    if grid.n_sites < n:
-        raise ValueError("height cap too small for n ordered curves")
-    states, g = _chamber_operator(n, grid.n_sites)
-    log_tilt = _tilt_log_vector(states, a, b, grid.dx)
-    half = np.exp(0.5 * log_tilt)
-    if isinstance(g, np.ndarray):
-        sym = g * half[:, None] * half[None, :]
-    else:
-        d = sp.diags(half)
-        sym = (d @ g @ d).tocsr()
-    v = np.full(states.size, 1.0 / math.sqrt(states.size))
-    for _ in range(max_iter):
-        nxt = sym @ v
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            raise NoConvergence("operator annihilated the iterate")
-        nxt /= norm
-        delta = float(np.max(np.abs(nxt - v)))
-        v = nxt
-        if delta <= tol:
-            break
-    else:
-        raise NoConvergence(f"power iteration did not reach {tol:g} in {max_iter} steps")
-    if v.min() < 0.0:
+    The operator is e^{-a_s} G(s,s') with G symmetric, so Lanczos
+    (``eigsh``, started from the all-ones vector, at most ``max_iter``
+    restarts, relative accuracy ``tol``) runs on the symmetrized form
+    G(s,s') e^{-(a_s + a_s')/2}, whose leading eigenvector v gives the
+    stationary marginal as v^2.  ``meta`` holds the operator applications
+    (``matvecs``) and the residual ||A v - theta v|| of the unit vector v.
+    Raises NoConvergence when ARPACK does not converge or v has an entry
+    below -1e-10 max(v); smaller negative roundoff is clipped to 0."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    states, g = _killed_step(n, grid.n_sites)
+    half = np.exp(0.5 * _tilt_log_vector(states, a, b, grid.dx))
+    matvecs = 0
+
+    def sym(v: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        return half * (g @ (half * v))
+
+    op = LinearOperator((states.size, states.size), matvec=sym, dtype=float)
+    try:
+        theta, vecs = eigsh(op, k=1, which="LA", v0=np.ones(states.size), tol=tol, maxiter=max_iter)
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(f"eigsh did not reach {tol:g} in {max_iter} restarts") from exc
+    count = matvecs
+    v = vecs[:, 0] if vecs[:, 0].sum() > 0.0 else -vecs[:, 0]
+    residual = float(np.linalg.norm(sym(v) - theta[0] * v))
+    if v.min() < -1e-10 * v.max():
         raise NoConvergence("leading eigenvector is not nonnegative")
     with np.errstate(divide="ignore"):
-        log_density = 2.0 * np.log(v)
+        log_density = 2.0 * np.log(np.clip(v, 0.0, None))
     return ee.Distribution(
         space=grid.space_key(n),
         log_weights=log_density,
-        meta={"states": states, "dx": grid.dx, "stationary": True},
+        meta={"states": states, "dx": grid.dx, "stationary": True, "matvecs": count, "residual": residual},
     )
 
 

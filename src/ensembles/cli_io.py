@@ -4,10 +4,11 @@ seeding, JSON result envelopes, and one CSV per measured curve.
 Usage:  ensembles <experiment> --config <path> [--out <dir>] [--seed <u64>]
         [--threads <k>]
 
-The env var ENSEMBLES_BUDGET overrides the state-space budget (matrix
-entries, default 5e7).  Given (config, seed), artifacts are byte-stable
-across runs and thread counts; wall-clock timings live in the envelope's
-"timings" key and are the only non-reproducible field.
+The env var ENSEMBLES_BUDGET overrides the size budget (states, operator
+entries, oracle box cells; default 5e7; a polymer pass may take 20 times
+it in stencil multiply-adds).  Given (config, seed), artifacts are
+byte-stable across runs and thread counts; wall-clock timings live in
+the envelope's "timings" key and are the only non-reproducible field.
 """
 
 from __future__ import annotations
@@ -635,6 +636,7 @@ def _run_oracle(cfg: RunConfig, threads: int, seed: int):
     a, b = cfg["model.a"], cfg["model.b"]
     cap = cfg["oracle.height_cap"] or bo.default_height_cap(a, n)
     grid = bo.GridSpec(dx=cfg["oracle.dx"], height_cap=cap, m_half=cfg["oracle.m"])
+    bo.check_polymer_budget(n, grid)  # zero_bc_extrapolate's passes, before the eigensolve
     st = bo.stationary_density(n, a, b, grid)
     sites, pmf = bo.top_curve_pmf(st)
     zbc = bo.zero_bc_extrapolate(n, a, b, grid)

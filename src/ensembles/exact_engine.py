@@ -33,10 +33,11 @@ from .model_core import (
 )
 
 DEFAULT_BUDGET = 5e7
-_DENSE_LIMIT = 2048  # densify transfer matrices up to this many states
 
 CUTOFF_NEAR = 2  # "near the cap" means top curve within this of x_max
 CUTOFF_MASS_TOL = 1e-8
+_LOG_TINY = math.log(np.finfo(float).tiny)  # below this a linear sum may have lost terms
+_NEGLIGIBLE = 800.0  # a state this many nats below log Z has probability 0.0 in double
 
 
 class TooLarge(ValueError):
@@ -150,16 +151,14 @@ def _successor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, np
     return succ, np.array([p for _, p in moves])
 
 
-def _step_probability_matrix(states: StateSpace, kernel: Kernel):
-    """Sparse matrix of free-walk step probabilities between chamber states."""
+def _step_probability_matrix(states: StateSpace, kernel: Kernel) -> sp.csr_matrix:
+    """CSR matrix of free-walk step probabilities between chamber states."""
     succ, probs = _successor_table(states, kernel)
     valid = succ >= 0
     indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
     data = np.broadcast_to(probs, succ.shape)[valid]
     mat = sp.csr_matrix((data, succ[valid], indptr), shape=(states.size, states.size))
     mat.sum_duplicates()
-    if states.size <= _DENSE_LIMIT:
-        return mat.toarray()
     return mat
 
 
@@ -192,7 +191,7 @@ class TransferStep:
     as a log vector means entries never underflow."""
 
     states: StateSpace
-    matrix: object  # dense ndarray or scipy sparse
+    matrix: sp.csr_matrix
     log_tilt: np.ndarray
 
     def entry(self, s_from: Sequence[int], s_to: Sequence[int]) -> float:
@@ -204,9 +203,8 @@ class TransferStep:
         """Full log-space matrix (log step prob + source tilt)."""
         if self.states.size**2 > state_budget():
             raise TooLarge("dense log transfer matrix exceeds budget")
-        dense = self.matrix if isinstance(self.matrix, np.ndarray) else self.matrix.toarray()
         with np.errstate(divide="ignore"):
-            return np.log(dense) + self.log_tilt[:, None]
+            return np.log(self.matrix.toarray()) + self.log_tilt[:, None]
 
 
 def step_matrix(states: StateSpace, kernel: Kernel, tilt: TiltSpec) -> TransferStep:
@@ -294,30 +292,47 @@ def _compute_messages(
     log_tilt: np.ndarray,
 ) -> TransferResult:
     mat = _step_probability_matrix(states, kernel)
+    mat_t = mat.T.tocsr()
     step = TransferStep(states=states, matrix=mat, log_tilt=log_tilt)
     w = spec.width
     s = states.size
     forward = np.full((w, s), NEG_INF)
     forward[0, states.id_of(spec.boundary.u)] = 0.0
     for t in range(1, w):
-        forward[t] = la.log_vec_mat(forward[t - 1], mat, log_tilt)
+        forward[t] = la.log_mat_vec(mat_t, 0.0, forward[t - 1] + log_tilt)
     backward = np.full((w, s), NEG_INF)
     if isinstance(spec.boundary, Bridge):
         backward[-1, states.id_of(spec.boundary.v)] = 0.0
     else:
         backward[-1] = 0.0
-    for t in range(w - 2, -1, -1):
-        backward[t] = la.log_mat_vec(mat, log_tilt, backward[t + 1])
     log_z = float(la.logsumexp(forward[-1] + backward[-1]))
+    succ = None
+    for t in range(w - 2, -1, -1):
+        nxt = backward[t + 1]
+        backward[t] = la.log_mat_vec(mat, log_tilt, nxt)
+        # log_mat_vec shifts nxt by its one maximum, so a row whose terms all
+        # lie far below it comes out subnormal or -inf, and its true value is
+        # under `ceiling`.  Where forward mass could still lift such a row
+        # within _NEGLIGIBLE nats of log Z, redo it in log space.
+        ceiling = log_tilt + nxt.max() + _LOG_TINY + math.log(2.0)
+        lost = (backward[t] < ceiling) & (forward[t] + ceiling > log_z - _NEGLIGIBLE)
+        if lost.any():
+            lost &= mat @ np.isfinite(nxt) > 0  # a row with no finite successor is -inf
+        if lost.any():
+            if succ is None:
+                succ, probs = _successor_table(states, kernel)
+            terms = np.where(succ[lost] >= 0, np.log(probs) + nxt[succ[lost]], NEG_INF)
+            backward[t, lost] = log_tilt[lost] + la.logsumexp(terms, axis=1)
 
     near = states.arr[:, 0] >= states.x_max - CUTOFF_NEAR
     cutoff = False
     if near.any():
-        for t in range(w):
-            total = la.logsumexp(forward[t])
-            if not np.isfinite(total):
+        for row in forward:
+            top = row.max()
+            if not np.isfinite(top):
                 continue
-            if la.logsumexp(forward[t][near]) - total > math.log(CUTOFF_MASS_TOL):
+            p = np.exp(row - top)
+            if p[near].sum() > CUTOFF_MASS_TOL * p.sum():
                 cutoff = True
                 break
     return TransferResult(

@@ -91,11 +91,17 @@ def brute_partition(spec: mc.EnsembleSpec, kernel: mc.Kernel, a: float, b: float
 
 
 def brute_law(spec, kernel, a, b, lam, times):
-    """Exact joint law at the given times by path enumeration."""
+    """Exact joint law at the given times by path enumeration.  Path weights
+    are taken relative to the heaviest path, so steep tilts whose raw
+    weights underflow still give a law."""
+    logs = [
+        (tuple(cols[t - spec.m_left] for t in times), math.log(prob) - hand_area(cols, a, b, lam))
+        for cols, prob in iter_paths(spec, kernel)
+    ]
+    top = max(lw for _, lw in logs)
     acc: dict[tuple, float] = {}
-    for cols, prob in iter_paths(spec, kernel):
-        key = tuple(cols[t - spec.m_left] for t in times)
-        acc[key] = acc.get(key, 0.0) + prob * math.exp(-hand_area(cols, a, b, lam))
+    for key, lw in logs:
+        acc[key] = acc.get(key, 0.0) + math.exp(lw - top)
     total = sum(acc.values())
     return {k: w / total for k, w in acc.items()}
 

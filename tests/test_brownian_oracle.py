@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,38 @@ def cdf_top(dist):
     _, pmf = bo.top_curve_pmf(dist)
     c = np.cumsum(pmf)
     return c / c[-1]
+
+
+def log_vec_mat(log_f, mat, log_row_tilt):
+    """Reference forward step: log of (exp(log_f + tilt) @ mat) for a dense mat."""
+    g = log_f + log_row_tilt
+    c = np.max(g)
+    if not np.isfinite(c):
+        return np.full_like(g, -np.inf)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(g - c) @ mat) + c
+
+
+def killed_stencil_matrix(states):
+    """Dense killed step from its definition: G(s, s') is the product of
+    the normalized stencil weights of s' - s, for s, s' both in the chamber."""
+    offs = np.arange(-bo.STENCIL_REACH, bo.STENCIL_REACH + 1)
+    w = np.exp(-0.5 * offs**2)
+    w /= w.sum()
+    g = np.zeros((states.size, states.size))
+    for i, j in itertools.product(range(states.size), repeat=2):
+        d = np.array(states.states[j]) - np.array(states.states[i])
+        if np.all(np.abs(d) <= bo.STENCIL_REACH):
+            g[i, j] = np.prod(w[d + bo.STENCIL_REACH])
+    return g
+
+
+class TestKilledStep:
+    @pytest.mark.parametrize("n,n_sites", [(1, 20), (2, 15), (3, 11)])
+    def test_apply_matches_dense_definition(self, n, n_sites):
+        states, g = bo._killed_step(n, n_sites)
+        applied = g @ np.eye(states.size)
+        assert np.allclose(applied, killed_stencil_matrix(states), rtol=1e-13, atol=1e-16)
 
 
 class TestGridSpec:
@@ -61,7 +95,7 @@ class TestScalarEquivalence:
         f = np.full(n_sites, -np.inf)
         f[0] = 0.0
         for _ in range(steps // 2):
-            f = la.log_vec_mat(f, g, lt)
+            f = log_vec_mat(f, g, lt)
         b = np.full(n_sites, -np.inf)
         b[0] = 0.0
         for _ in range(steps - steps // 2):
@@ -110,6 +144,15 @@ class TestPolymerMarginal:
         with pytest.raises(ee.TooLarge):
             bo.polymer_marginal(1, 1.0, 2.0, grid, bo.ZeroBC(), 0.0)
 
+    def test_budget_counts_stencil_multiply_adds(self):
+        # box cells x 13 taps x n axes x steps, against 20 x the 5e7 default
+        cap = bo.default_height_cap(1.0, 2)
+        big = bo.GridSpec(dx=0.1, height_cap=cap, m_half=2.0)
+        fits = bo.GridSpec(dx=0.1, height_cap=cap, m_half=1.0)
+        with pytest.raises(ee.TooLarge, match=r"1\.5e\+09"):  # 380^2 x 13 x 2 x 400
+            bo.check_polymer_budget(2, big)
+        bo.check_polymer_budget(2, fits)  # 7.5e8
+
 
 class TestZeroBcExtrapolate:
     def test_cauchy_contraction_and_direction_independence(self):
@@ -149,6 +192,19 @@ class TestStationaryDensity:
         d = bo.free_marginal(1, 1.0, 2.0, grid, bo.FreeBoth(), 0.0)
         assert 0.5 * np.abs(d.probs - st.probs).sum() <= 0.02
 
+    def test_matches_dense_eigh(self):
+        n, a, b = 2, 1.0, 2.0
+        grid = bo.GridSpec(dx=0.25, height_cap=5.0, m_half=1.0)
+        st = bo.stationary_density(n, a, b, grid)
+        states = st.meta["states"]
+        half = np.exp(0.5 * bo._tilt_log_vector(states, a, b, grid.dx))
+        sym = half[:, None] * killed_stencil_matrix(states) * half[None, :]
+        _, vecs = np.linalg.eigh(sym)
+        ref = vecs[:, -1] ** 2
+        assert np.abs(st.probs - ref / ref.sum()).max() < 1e-10
+        assert st.meta["residual"] <= 1e-10
+        assert st.meta["matvecs"] > 0
+
     def test_no_convergence_raises(self):
         grid = bo.GridSpec(dx=0.1, height_cap=10.0, m_half=1.0)
         with pytest.raises(bo.NoConvergence):
@@ -183,10 +239,10 @@ class TestFreeMarginal:
         k = grid.n_steps // 2
         with np.errstate(divide="ignore"):
             f = np.log(rho) - bwd[0]
-        g_states, g = bo._chamber_operator(n, grid.n_sites)
-        lt = bo._tilt_log_vector(g_states, a, b, grid.dx)
+        g = bo._killed_step(n, grid.n_sites)[1] @ np.eye(states.size)
+        lt = bo._tilt_log_vector(states, a, b, grid.dx)
         for _ in range(k):
-            f = la.log_vec_mat(f, g, lt)
+            f = log_vec_mat(f, g, lt)
         mix = ee.Distribution(space=grid.space_key(n), log_weights=f + bwd[k])
         both = ee.Distribution(space=grid.space_key(n), log_weights=fwd[k] + bwd[k])
         assert ee.tv_exact(mix, both) <= 1e-9

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from ensembles import brownian_oracle as bo
 from ensembles import cli_io as cio
+from ensembles import exact_engine as ee
 
 EXACT_CFG = """\
 experiment = exact
@@ -34,6 +36,17 @@ mixing.k_list = 1,2,3
 mixing.u = 1
 mixing.w = 3
 mixing.mode = both
+"""
+
+CONVERGE_CFG = """\
+experiment = converge
+kernel.preset = unit
+model.n = 1
+model.a = 1.0
+model.b = 2.0
+converge.lambda_list = 0.5,0.3
+converge.mode = walk
+oracle.dx = 0.1
 """
 
 
@@ -132,6 +145,28 @@ class TestRun:
             outs.append((blob, json.dumps(env, sort_keys=True)))
         assert outs[0] == outs[1] == outs[2]
 
+    def test_converge_identical_across_threads(self, tmp_path):
+        cfg = cio.parse_config(CONVERGE_CFG)
+        outs = []
+        for name, threads in (("a", 1), ("b", 2)):
+            cio.run(cfg, tmp_path / name, threads=threads)
+            env = json.loads((tmp_path / name / "results.json").read_text())
+            env.pop("timings")
+            env.pop("threads")
+            outs.append(((tmp_path / name / "converge.csv").read_bytes(), json.dumps(env, sort_keys=True)))
+        assert outs[0] == outs[1]
+
+    def test_oversized_oracle_fails_before_eigensolve(self, tmp_path, monkeypatch):
+        # polymer passes of 380^2 cells x 13 taps x 2 axes x 400 steps = 1.5e9 > 1e9
+        def unreachable(*args, **kwargs):
+            raise AssertionError("stationary_density ran before the budget check")
+
+        monkeypatch.setattr(bo, "stationary_density", unreachable)
+        text = "experiment = oracle\nmodel.a = 1.0\nmodel.b = 2.0\noracle.n = 2\noracle.dx = 0.1\noracle.m = 2.0\n"
+        cfg = cio.parse_config(text)
+        with pytest.raises(ee.TooLarge):
+            cio.run(cfg, tmp_path / "out")
+
     def test_mixing_reports_fit_and_passes(self, tmp_path):
         cfg = cio.parse_config(MIXING_CFG)
         env = cio.run(cfg, tmp_path / "out")
@@ -198,6 +233,16 @@ slope.eta = 2.0
 """
         p = self._write(tmp_path, cfg_text)
         assert cio.main(["slope", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+
+    def test_import_leaves_solver_modules_unloaded(self):
+        # scipy.ndimage and scipy.sparse.linalg load only when the oracle runs
+        code = (
+            "import sys, ensembles.cli_io; "
+            "print(sorted(m for m in ('scipy.ndimage', 'scipy.sparse.linalg') if m in sys.modules))"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
 
     def test_console_script_runs(self, tmp_path):
         p = self._write(tmp_path, EXACT_CFG)

@@ -63,7 +63,7 @@ class TestStepMatrix:
         for j, k in zip(*np.nonzero(pred >= 0)):
             dense[pred[j, k], j] += probs[k]
         assert pred.shape == (states.size, len(kern.offsets) ** 2)
-        assert np.array_equal(dense, ee._step_probability_matrix(states, kern))
+        assert np.array_equal(dense, ee._step_probability_matrix(states, kern).toarray())
 
     def test_crossing_target_is_not_a_state(self, lazy):
         states = ee.enumerate_states(2, 4)
@@ -191,6 +191,35 @@ class TestMarginal:
             m1 = ee.marginal(spec, lazy, tilt, 1)
             m2 = ee.marginal(spec, lazy, tilt, 5)
         assert np.allclose(m1.probs, m2.probs, atol=1e-12)
+
+
+class TestSteepBackward:
+    """A start far above where the tilt holds the mass: backward messages
+    there sit thousands of nats below their maximum, beyond one shared
+    linear-space shift."""
+
+    def test_high_start_walk_matches_brute_force(self, unit):
+        spec = walk_spec(1, 0, 3, (20,), x_max=25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ee.CutoffDominatedWarning)
+            res = ee.ensemble_messages(spec, unit, tilt_of(a=100.0, b=2.0, lam=1.0))
+        states = res.states
+        for t in spec.times:
+            d = ee.marginal_from_messages(res, t)
+            oracle = brute_law(spec, unit, 100.0, 2.0, 1.0, [t])
+            expected = np.zeros(states.size)
+            for (col,), p in oracle.items():
+                expected[states.id_of(col)] = p
+            assert np.abs(d.probs - expected).max() <= 1e-12
+
+    def test_three_curves_have_finite_marginals(self, unit):
+        spec = walk_spec(3, 0, 10, (14, 13, 12), x_max=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ee.CutoffDominatedWarning)
+            res = ee.ensemble_messages(spec, unit, tilt_of(a=4.0, b=4.0, lam=1.0))
+        for t in spec.times:
+            d = ee.marginal_from_messages(res, t)
+            assert d.log_z == pytest.approx(res.log_z, rel=1e-12)
 
 
 class TestConditionalBridgeLaw:
