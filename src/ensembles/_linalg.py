@@ -1,15 +1,17 @@
 """Log-space linear algebra shared by the transfer engines.
 
-All message passing works on log vectors with explicit -inf for zero
+The exact engine's messages are log vectors with explicit -inf for zero
 mass; operators stay in linear space (their entries never underflow once
-row tilts are factored out as log vectors).  ``log_mat_vec`` is the one
-message step, for sparse matrices and matrix-free operators alike.
+row tilts are factored out as log vectors).  ``log_mat_vec`` is that
+engine's message step on its sparse matrices.  The polymer oracle keeps
+its messages in scaled linear space instead and takes one log per pass.
+``logsumexp`` works in place on one copy of its input (or on the input
+itself), so its peak is about one input's size.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 NEG_INF = float("-inf")
 
@@ -20,6 +22,20 @@ __all__ = [
     "log_matmul",
     "normalize_log",
 ]
+
+
+def logsumexp(a, axis=None, overwrite: bool = False):
+    """log(sum(exp(a))) over ``axis`` (an int, a tuple or None), -inf where
+    every term is -inf.  With ``overwrite`` the float array ``a`` is used as
+    scratch; otherwise one copy of it is."""
+    a = np.asarray(a, dtype=float) if overwrite else np.array(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True, initial=NEG_INF)
+    top[np.isneginf(top)] = 0.0  # an all -inf slice sums to 0 below
+    a -= top
+    np.exp(a, out=a)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(a, axis=axis, keepdims=True)) + top
+    return np.squeeze(out, axis=axis)[()]
 
 
 def log_mat_vec(mat, log_row_tilt, log_b: np.ndarray) -> np.ndarray:
@@ -36,8 +52,9 @@ def log_mat_vec(mat, log_row_tilt, log_b: np.ndarray) -> np.ndarray:
 
 
 def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    """Log-space matrix product via logsumexp over the shared axis."""
-    return logsumexp(log_a[:, :, None] + log_b[None, :, :], axis=1)
+    """Log-space matrix product via logsumexp over the shared axis; the
+    broadcast S x S x S sum is its one full-size array."""
+    return logsumexp(log_a[:, :, None] + log_b[None, :, :], axis=1, overwrite=True)
 
 
 def normalize_log(log_w: np.ndarray) -> tuple[np.ndarray, float]:

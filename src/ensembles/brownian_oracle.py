@@ -8,20 +8,25 @@ tilted by exp(-a * sum_i b^(i-1) x_i dt).  One-time marginals under
 zero / fixed / free boundary conditions and the stationary (large-time)
 density are the comparison targets for the lattice convergence
 experiments.
-The killed step is applied matrix-free (``_killed_step``), and the
-stationary density comes from Lanczos (ARPACK, Lehoucq, Sorensen & Yang
-1998) on the symmetrized tilted step.
+The killed step is applied matrix-free (``_killed_step``); one grid's
+chamber states and box index are built once and shared by every call on
+it.  A one-time marginal at step j runs the forward pass for j steps and
+the backward pass for the remaining n_steps - j, in scaled linear space
+with accumulated log scales (Rabiner 1989), so it costs one polymer pass
+and keeps only two state vectors.  The stationary density comes from
+Lanczos (ARPACK, Lehoucq, Sorensen & Yang 1998) on the symmetrized
+tilted step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import _linalg as la
 from . import exact_engine as ee
 from .model_core import NEG_INF
 
@@ -118,26 +123,33 @@ class PolymerLaw:
 # chamber operator
 
 
+@functools.lru_cache(maxsize=2)
+def _chamber_box(n: int, n_sites: int) -> tuple[ee.StateSpace, np.ndarray]:
+    """Chamber states and their flat indices in the {1..n_sites}^n box."""
+    states = ee.enumerate_states(n, n_sites)
+    flat = (states.arr - 1) @ n_sites ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    flat.flags.writeable = False
+    return states, flat
+
+
 def _killed_step(n: int, n_sites: int):
     """Chamber states and the killed free step G on them, matrix-free.
 
     Per coordinate the step weights e^{-m^2/2}, |m| <= 6, are normalized
-    over the stencil; G v zero-extends v onto the {1..n_sites}^n box,
-    correlates each axis with the stencil (zero outside the box) and
-    reads the chamber back out.  Killing acts only on the destination,
-    so this is exactly the step with moves leaving the chamber or the
-    cap dropped, and G is symmetric."""
+    over the stencil; G(v) zero-extends the length-S vector v onto the
+    {1..n_sites}^n box, correlates each axis with the stencil (zero
+    outside the box) and reads the chamber back out.  Killing acts only
+    on the destination, so this is exactly the step with moves leaving
+    the chamber or the cap dropped, and G is symmetric."""
     from scipy.ndimage import correlate1d
-    from scipy.sparse.linalg import LinearOperator
 
     if n_sites < n:
         raise ValueError("height cap too small for n ordered curves")
     if n_sites**n > ee.state_budget():
         raise ee.TooLarge(f"{n_sites}^{n} box cells exceed budget {ee.state_budget():g}")
-    states = ee.enumerate_states(n, n_sites)
+    states, flat = _chamber_box(n, n_sites)
     stencil = np.exp(-0.5 * np.arange(-STENCIL_REACH, STENCIL_REACH + 1) ** 2)
     stencil /= stencil.sum()
-    flat = (states.arr - 1) @ n_sites ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
     def apply(v: np.ndarray) -> np.ndarray:
         box = np.zeros(n_sites**n)
@@ -147,7 +159,7 @@ def _killed_step(n: int, n_sites: int):
             box = correlate1d(box, stencil, axis=axis, mode="constant")
         return box.ravel()[flat]
 
-    return states, LinearOperator((states.size, states.size), matvec=apply, dtype=float)
+    return states, apply
 
 
 def check_polymer_budget(n: int, grid: GridSpec) -> None:
@@ -210,21 +222,45 @@ def _boundary_vectors(
     raise TypeError(f"unknown boundary mode {boundary!r}")
 
 
-def _polymer_messages(n: int, a: float, b: float, grid: GridSpec, boundary: BoundaryMode):
+def _scaled_pass(step, log_v: np.ndarray, steps: int) -> np.ndarray:
+    """log of step^steps(exp(log_v)) for a linear, nonnegative ``step``.
+
+    The vector is kept in linear space, divided by its maximum after
+    every step, and the log of each maximum is added to a running scale;
+    the log is taken once, at the end.  Zero mass gives all -inf."""
+    scale = np.max(log_v)
+    if not np.isfinite(scale):
+        return np.full_like(log_v, NEG_INF)
+    v = np.exp(log_v - scale)
+    for _ in range(steps):
+        v = step(v)
+        top = v.max()
+        if not top > 0.0:
+            return np.full_like(log_v, NEG_INF)
+        v /= top
+        scale += math.log(top)
+    with np.errstate(divide="ignore"):
+        return np.log(v) + scale
+
+
+def _polymer_messages(
+    n: int, a: float, b: float, grid: GridSpec, boundary: BoundaryMode, j: int
+) -> tuple[ee.StateSpace, np.ndarray, np.ndarray]:
+    """Chamber states and the log forward and backward messages at step j.
+
+    The forward pass runs j steps from the left boundary vector and the
+    backward pass n_steps - j steps from the right one, each through
+    ``_scaled_pass``: one polymer pass in all, and nothing of size
+    n_steps x S is stored.  G is symmetric, so a forward step is G applied
+    to the tilted message and a backward step is the tilt times G(v)."""
     check_polymer_budget(n, grid)
     states, g = _killed_step(n, grid.n_sites)
     log_tilt = _tilt_log_vector(states, a, b, grid.dx)
-    steps = grid.n_steps
+    top = log_tilt.max()  # factored out, so the tilt cannot underflow as a whole
+    tilt = np.exp(log_tilt - top)
     f0, bT, _ = _boundary_vectors(n, grid, boundary, states.size, states)
-    # G is symmetric, so the forward step is G applied to the tilted message
-    fwd = np.empty((steps + 1, states.size))
-    fwd[0] = f0
-    for t in range(1, steps + 1):
-        fwd[t] = la.log_mat_vec(g, 0.0, fwd[t - 1] + log_tilt)
-    bwd = np.empty((steps + 1, states.size))
-    bwd[steps] = bT
-    for t in range(steps - 1, -1, -1):
-        bwd[t] = la.log_mat_vec(g, log_tilt, bwd[t + 1])
+    fwd = _scaled_pass(lambda v: g(v * tilt), f0, j) + j * top
+    bwd = _scaled_pass(lambda v: g(v) * tilt, bT, grid.n_steps - j) + (grid.n_steps - j) * top
     return states, fwd, bwd
 
 
@@ -239,11 +275,10 @@ def polymer_marginal(
     n: int, a: float, b: float, grid: GridSpec, boundary: BoundaryMode, t: float
 ) -> ee.Distribution:
     """One-time marginal of the discretized polymer at grid time t."""
-    states, fwd, bwd = _polymer_messages(n, a, b, grid, boundary)
-    j = _time_index(grid, t)
+    states, fwd, bwd = _polymer_messages(n, a, b, grid, boundary, _time_index(grid, t))
     return ee.Distribution(
         space=grid.space_key(n),
-        log_weights=fwd[j] + bwd[j],
+        log_weights=fwd + bwd,
         meta={"states": states, "dx": grid.dx, "time": t},
     )
 
@@ -303,7 +338,7 @@ def stationary_density(
     def sym(v: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
-        return half * (g @ (half * v))
+        return half * g(half * v)
 
     op = LinearOperator((states.size, states.size), matvec=sym, dtype=float)
     try:

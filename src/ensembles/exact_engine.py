@@ -16,7 +16,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,8 +36,9 @@ DEFAULT_BUDGET = 5e7
 
 CUTOFF_NEAR = 2  # "near the cap" means top curve within this of x_max
 CUTOFF_MASS_TOL = 1e-8
-_LOG_TINY = math.log(np.finfo(float).tiny)  # below this a linear sum may have lost terms
+_LOG_TINY = math.log(2.0 * np.finfo(float).tiny)  # below this a linear sum may have lost terms
 _NEGLIGIBLE = 800.0  # a state this many nats below log Z has probability 0.0 in double
+_TABLE_BLOCK = 1 << 18  # successor-table entries searched at once
 
 
 class TooLarge(ValueError):
@@ -135,19 +136,22 @@ def _successor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, np
             f"{states.size} states x {len(moves)} moves exceeds budget {state_budget():g}"
         )
     arr = states.arr
-    base = states.x_max + 1
-    pows = base ** np.arange(states.n - 1, -1, -1, dtype=np.int64)
+    delta = np.array([d for d, _ in moves], dtype=np.int64).reshape(len(moves), states.n)
+    pows = (states.x_max + 1) ** np.arange(states.n - 1, -1, -1, dtype=np.int64)
     keys = arr @ pows  # ascending because states are sorted lexicographically
-    succ = np.full((states.size, len(moves)), -1, dtype=np.int64)
-    for k, (delta, _) in enumerate(moves):
-        tgt = arr + delta
-        valid = (tgt[:, -1] >= 1) & (tgt[:, 0] <= states.x_max)
-        if states.n > 1:
-            valid &= np.all(tgt[:, :-1] > tgt[:, 1:], axis=1)
-        tkeys = tgt @ pows
-        pos = np.searchsorted(keys, tkeys).clip(0, states.size - 1)
-        ok = valid & (keys[pos] == tkeys)
-        succ[ok, k] = pos[ok]
+    dkeys = delta @ pows
+    succ = np.empty((states.size, len(moves)), dtype=np.int64)
+    block = max(1, _TABLE_BLOCK // len(moves))  # rows per block: succ is the one (S, M) array
+    for lo in range(0, states.size, block):
+        rows = arr[lo : lo + block]
+        valid = (rows[:, -1:] + delta[:, -1] >= 1) & (rows[:, :1] + delta[:, 0] <= states.x_max)
+        for i in range(states.n - 1):  # strict order of curves i and i + 1 after the move
+            valid &= (rows[:, i : i + 1] - rows[:, i + 1 : i + 2]) > (delta[:, i + 1] - delta[:, i])
+        # a valid target is a chamber state; its digits lie in [1, x_max], so
+        # its key is exactly keys + delta @ pows and the search finds it
+        out = succ[lo : lo + block]
+        out[:] = np.searchsorted(keys, keys[lo : lo + block, None] + dkeys)
+        out[~valid] = -1
     return succ, np.array([p for _, p in moves])
 
 
@@ -173,6 +177,17 @@ def predecessor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, n
     rows, moves = np.nonzero(succ >= 0)
     pred[succ[rows, moves], moves] = rows
     return pred, probs
+
+
+def _log_rows(mat: sp.csr_matrix, rows: np.ndarray, log_v: np.ndarray) -> np.ndarray:
+    """log (mat @ exp(log_v)) at the masked rows, summed in log space: a
+    message step that no shared shift can underflow, for a few rows."""
+    sub = mat[rows]
+    counts = np.diff(sub.indptr)
+    table = np.full((counts.size, max(counts.max(), 1)), NEG_INF)
+    row_of = np.repeat(np.arange(counts.size), counts)
+    table[row_of, np.arange(sub.nnz) - sub.indptr[row_of]] = np.log(sub.data) + log_v[sub.indices]
+    return la.logsumexp(table, axis=1, overwrite=True)
 
 
 def tilt_log_vector(states: StateSpace, tilt: TiltSpec) -> np.ndarray:
@@ -296,33 +311,57 @@ def _compute_messages(
     step = TransferStep(states=states, matrix=mat, log_tilt=log_tilt)
     w = spec.width
     s = states.size
-    forward = np.full((w, s), NEG_INF)
-    forward[0, states.id_of(spec.boundary.u)] = 0.0
-    for t in range(1, w):
-        forward[t] = la.log_mat_vec(mat_t, 0.0, forward[t - 1] + log_tilt)
+    start = states.id_of(spec.boundary.u)
+    # la.log_mat_vec shifts its input by one maximum, so a row whose terms all
+    # lie far below it comes out subnormal or -inf while its true value is
+    # under that step's `ceiling`.  Such a row is redone in log space where it
+    # could hold probability within _NEGLIGIBLE nats of log Z.  A first
+    # backward pass bounds each row's backward value for the forward pass;
+    # the backward pass is then run again against the finished forward.
     backward = np.full((w, s), NEG_INF)
     if isinstance(spec.boundary, Bridge):
         backward[-1, states.id_of(spec.boundary.v)] = 0.0
     else:
         backward[-1] = 0.0
+    shift = np.full(w, NEG_INF)  # shift[t]: the maximum of backward[t + 1]
+    # A row fed by rows that lost mass loses mass too.  Rows of `mat` sum to at
+    # most 1, so the true backward[t] is below logaddexp(backward[t], log_tilt + slack[t]).
+    slack = np.full(w, NEG_INF)
+    for t in range(w - 2, -1, -1):
+        shift[t] = backward[t + 1].max()
+        slack[t] = np.logaddexp(shift[t] + _LOG_TINY, log_tilt.max() + slack[t + 1])
+        backward[t] = la.log_mat_vec(mat, log_tilt, backward[t + 1])
+
+    low = backward[0, start]  # log Z from below: the backward pass only loses mass
+    # the first step at which each state can be reached from the start
+    first = -(-np.abs(states.arr - states.arr[start]).max(axis=1) // kernel.max_step)
+    forward = np.full((w, s), NEG_INF)
+    forward[0, start] = 0.0
+    for t in range(1, w):
+        prev = forward[t - 1] + log_tilt
+        forward[t] = la.log_mat_vec(mat_t, 0.0, prev)
+        ceiling = prev.max() + _LOG_TINY
+        b_up = np.logaddexp(backward[t], log_tilt + slack[t])
+        lost = (forward[t] < ceiling) & (first <= t) & (ceiling + b_up > low - _NEGLIGIBLE)
+        if lost.any():
+            forward[t, lost] = _log_rows(mat_t, lost, prev)
     log_z = float(la.logsumexp(forward[-1] + backward[-1]))
-    succ = None
+
+    changed = False  # backward[t + 1] differs from the first pass
     for t in range(w - 2, -1, -1):
         nxt = backward[t + 1]
-        backward[t] = la.log_mat_vec(mat, log_tilt, nxt)
-        # log_mat_vec shifts nxt by its one maximum, so a row whose terms all
-        # lie far below it comes out subnormal or -inf, and its true value is
-        # under `ceiling`.  Where forward mass could still lift such a row
-        # within _NEGLIGIBLE nats of log Z, redo it in log space.
-        ceiling = log_tilt + nxt.max() + _LOG_TINY + math.log(2.0)
+        if changed:
+            shift[t] = nxt.max()
+            row = la.log_mat_vec(mat, log_tilt, nxt)
+            changed = not np.array_equal(row, backward[t])
+            backward[t] = row
+        ceiling = log_tilt + shift[t] + _LOG_TINY
         lost = (backward[t] < ceiling) & (forward[t] + ceiling > log_z - _NEGLIGIBLE)
         if lost.any():
             lost &= mat @ np.isfinite(nxt) > 0  # a row with no finite successor is -inf
         if lost.any():
-            if succ is None:
-                succ, probs = _successor_table(states, kernel)
-            terms = np.where(succ[lost] >= 0, np.log(probs) + nxt[succ[lost]], NEG_INF)
-            backward[t, lost] = log_tilt[lost] + la.logsumexp(terms, axis=1)
+            backward[t, lost] = log_tilt[lost] + _log_rows(mat, lost, nxt)
+            changed = True
 
     near = states.arr[:, 0] >= states.x_max - CUTOFF_NEAR
     cutoff = False
@@ -398,8 +437,15 @@ def marginal_from_messages(res: TransferResult, t: int) -> Distribution:
     )
 
 
-def _dense_log_power_chain(step: TransferStep, gaps: Iterable[int]) -> dict[int, np.ndarray]:
-    """Log-space powers of the transfer matrix for each requested gap."""
+def _dense_log_power_chain(step: TransferStep, gaps: Sequence[int]) -> dict[int, np.ndarray]:
+    """Log-space powers of the transfer matrix for each requested gap.
+
+    Every power past the first broadcasts an S x S x S array in
+    ``la.log_matmul``; the budget counts it, and ``dense_log`` the S x S
+    log, before either is allocated."""
+    s = step.states.size
+    if max(gaps, default=1) > 1 and s**3 > state_budget():
+        raise TooLarge(f"log-space power with {s}^3 intermediate entries exceeds budget {state_budget():g}")
     base = step.dense_log()
     powers: dict[int, np.ndarray] = {1: base}
     for gap in sorted(set(gaps)):

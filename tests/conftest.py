@@ -90,13 +90,21 @@ def brute_partition(spec: mc.EnsembleSpec, kernel: mc.Kernel, a: float, b: float
     return z
 
 
+def path_log_prob(columns, kernel: mc.Kernel) -> float:
+    """Log free-walk probability of a path, summed step by step and curve by
+    curve, so that paths of many rare moves do not underflow."""
+    return math.fsum(
+        math.log(kernel.prob(y - x)) for c0, c1 in zip(columns, columns[1:]) for x, y in zip(c0, c1)
+    )
+
+
 def brute_law(spec, kernel, a, b, lam, times):
     """Exact joint law at the given times by path enumeration.  Path weights
-    are taken relative to the heaviest path, so steep tilts whose raw
-    weights underflow still give a law."""
+    are taken in log space relative to the heaviest path, so steep tilts and
+    rare moves whose raw weights underflow still give a law."""
     logs = [
-        (tuple(cols[t - spec.m_left] for t in times), math.log(prob) - hand_area(cols, a, b, lam))
-        for cols, prob in iter_paths(spec, kernel)
+        (tuple(cols[t - spec.m_left] for t in times), path_log_prob(cols, kernel) - hand_area(cols, a, b, lam))
+        for cols, _ in iter_paths(spec, kernel)
     ]
     top = max(lw for _, lw in logs)
     acc: dict[tuple, float] = {}

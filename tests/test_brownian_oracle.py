@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,12 +39,27 @@ def killed_stencil_matrix(states):
     return g
 
 
+def applied_matrix(n, n_sites):
+    """States and the killed step as a dense matrix, one applied column each."""
+    states, g = bo._killed_step(n, n_sites)
+    return states, np.column_stack([g(e) for e in np.eye(states.size)])
+
+
 class TestKilledStep:
     @pytest.mark.parametrize("n,n_sites", [(1, 20), (2, 15), (3, 11)])
     def test_apply_matches_dense_definition(self, n, n_sites):
-        states, g = bo._killed_step(n, n_sites)
-        applied = g @ np.eye(states.size)
+        states, applied = applied_matrix(n, n_sites)
         assert np.allclose(applied, killed_stencil_matrix(states), rtol=1e-13, atol=1e-16)
+
+    def test_one_grid_enumerates_its_chamber_once(self, monkeypatch):
+        bo._chamber_box.cache_clear()
+        calls = []
+        real = ee.enumerate_states
+        monkeypatch.setattr(ee, "enumerate_states", lambda *a: calls.append(a) or real(*a))
+        grid = bo.GridSpec(dx=0.25, height_cap=5.0, m_half=0.25)
+        bo.stationary_density(2, 1.0, 2.0, grid)
+        bo.zero_bc_extrapolate(2, 1.0, 2.0, grid)
+        assert calls == [(2, 20)]
 
 
 class TestGridSpec:
@@ -154,6 +170,64 @@ class TestPolymerMarginal:
         bo.check_polymer_budget(2, fits)  # 7.5e8
 
 
+def normalized(log_w):
+    p = np.exp(log_w - log_w.max())
+    return p / p.sum()
+
+
+class TestHalfPasses:
+    GRID = bo.GridSpec(dx=0.25, height_cap=5.0, m_half=0.5)  # 16 steps
+    MODES = {
+        "zero_bc": bo.ZeroBC(),
+        "bridge": bo.Fixed(u=(1.0, 0.5), v=(2.0, 1.0)),
+        "walk": bo.Fixed(u=(1.5, 0.25)),
+        "free_right": bo.FreeRight(),
+        "free_both": bo.FreeBoth(),
+    }
+
+    @staticmethod
+    def full_messages(n, a, b, grid, boundary):
+        """(n_steps + 1) x S log messages from the dense G and log_mat_vec."""
+        states = ee.enumerate_states(n, grid.n_sites)
+        g = killed_stencil_matrix(states)
+        lt = bo._tilt_log_vector(states, a, b, grid.dx)
+        f0, bT, _ = bo._boundary_vectors(n, grid, boundary, states.size, states)
+        steps = grid.n_steps
+        fwd, bwd = [f0], [bT]
+        for _ in range(steps):
+            fwd.append(la.log_mat_vec(g, 0.0, fwd[-1] + lt))
+            bwd.append(la.log_mat_vec(g, lt, bwd[-1]))
+        return np.array(fwd), np.array(bwd[::-1])
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_match_full_length_reference(self, mode):
+        n, a, b, grid = 2, 1.0, 2.0, self.GRID
+        boundary = self.MODES[mode]
+        fwd, bwd = self.full_messages(n, a, b, grid, boundary)
+        for j in sorted({0, 1, grid.n_steps // 2, grid.n_steps}):
+            _, f, bk = bo._polymer_messages(n, a, b, grid, boundary, j)
+            for got, ref in ((f, fwd[j]), (bk, bwd[j])):
+                assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+                assert np.abs(normalized(got) - normalized(ref)).max() < 1e-12
+                assert la.logsumexp(got) == pytest.approx(la.logsumexp(ref), rel=1e-12, abs=1e-10)
+
+    def test_zero_mass_is_neg_inf(self):
+        assert np.all(bo._scaled_pass(lambda v: 0.0 * v, np.zeros(4), 3) == -np.inf)
+        assert np.all(bo._scaled_pass(lambda v: v, np.full(4, -np.inf), 3) == -np.inf)
+
+    def test_marginal_peak_memory_is_a_few_vectors(self):
+        # full-length message arrays would hold 2 x 3201 x 1400 doubles, about 72 MB
+        grid = bo.GridSpec(dx=0.025, height_cap=bo.default_height_cap(1.0, 1), m_half=1.0)
+        assert (grid.n_sites, grid.n_steps) == (1400, 3200)
+        tracemalloc.start()
+        try:
+            bo.polymer_marginal(1, 1.0, 2.0, grid, bo.ZeroBC(), 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
 class TestZeroBcExtrapolate:
     def test_cauchy_contraction_and_direction_independence(self):
         grid = bo.GridSpec(dx=0.1, height_cap=10.0, m_half=2.0)
@@ -233,18 +307,19 @@ class TestFreeMarginal:
         # FreeRight-from-s laws, rho the FreeBoth marginal at -M
         n, a, b = 1, 1.0, 2.0
         grid = bo.GridSpec(dx=0.1, height_cap=8.0, m_half=1.0)
-        states, fwd, bwd = bo._polymer_messages(n, a, b, grid, bo.FreeBoth())
-        rho = np.exp(fwd[0] + bwd[0] - (fwd[0] + bwd[0]).max())
-        rho /= rho.sum()
         k = grid.n_steps // 2
+        states, fwd0, bwd0 = bo._polymer_messages(n, a, b, grid, bo.FreeBoth(), 0)
+        _, fwdk, bwdk = bo._polymer_messages(n, a, b, grid, bo.FreeBoth(), k)
+        rho = np.exp(fwd0 + bwd0 - (fwd0 + bwd0).max())
+        rho /= rho.sum()
         with np.errstate(divide="ignore"):
-            f = np.log(rho) - bwd[0]
-        g = bo._killed_step(n, grid.n_sites)[1] @ np.eye(states.size)
+            f = np.log(rho) - bwd0
+        g = applied_matrix(n, grid.n_sites)[1]
         lt = bo._tilt_log_vector(states, a, b, grid.dx)
         for _ in range(k):
             f = log_vec_mat(f, g, lt)
-        mix = ee.Distribution(space=grid.space_key(n), log_weights=f + bwd[k])
-        both = ee.Distribution(space=grid.space_key(n), log_weights=fwd[k] + bwd[k])
+        mix = ee.Distribution(space=grid.space_key(n), log_weights=f + bwdk)
+        both = ee.Distribution(space=grid.space_key(n), log_weights=fwdk + bwdk)
         assert ee.tv_exact(mix, both) <= 1e-9
 
     def test_sandwich_ordering_exact(self):

@@ -49,6 +49,31 @@ converge.mode = walk
 oracle.dx = 0.1
 """
 
+DOMINANCE_CFG = """\
+experiment = dominance
+kernel.preset = unit
+model.a = 1.0
+model.b = 2.0
+dominance.n = 2
+dominance.u = 1.0,0.5
+dominance.u_raised = 2.0,1.5
+oracle.dx = 0.25
+oracle.m = 0.5
+"""
+
+INVARIANCE_CFG = """\
+experiment = invariance
+kernel.preset = unit
+model.n = 1
+model.a = 1.0
+model.b = 2.0
+invariance.lambda_list = 0.4,0.2
+invariance.m_cont = 1.0
+invariance.boundary = bridge
+invariance.u = 1.0
+oracle.dx = 0.05
+"""
+
 
 class TestParseConfig:
     def test_minimal_round_trip(self):
@@ -154,6 +179,23 @@ class TestRun:
             env.pop("timings")
             env.pop("threads")
             outs.append(((tmp_path / name / "converge.csv").read_bytes(), json.dumps(env, sort_keys=True)))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("text", [DOMINANCE_CFG, INVARIANCE_CFG], ids=["dominance", "invariance"])
+    def test_oracle_experiments_identical_across_threads(self, tmp_path, text):
+        # the chamber of each grid is shared between calls, and between threads
+        cfg = cio.parse_config(text)
+        outs = []
+        for name, threads in (("a", 1), ("b", 2)):
+            bo._chamber_box.cache_clear()
+            cio.run(cfg, tmp_path / name, threads=threads)
+            blob = b""
+            for f in sorted((tmp_path / name).glob("*.csv")):
+                blob += f.name.encode() + f.read_bytes()
+            env = json.loads((tmp_path / name / "results.json").read_text())
+            env.pop("timings")
+            env.pop("threads")
+            outs.append((blob, json.dumps(env, sort_keys=True)))
         assert outs[0] == outs[1]
 
     def test_oversized_oracle_fails_before_eigensolve(self, tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_law, brute_partition, chi_square_p
+from conftest import brute_law, brute_partition, chi_square_p, hand_area, iter_paths
 from ensembles import exact_engine as ee
 from ensembles import model_core as mc
 
@@ -64,6 +66,27 @@ class TestStepMatrix:
             dense[pred[j, k], j] += probs[k]
         assert pred.shape == (states.size, len(kern.offsets) ** 2)
         assert np.array_equal(dense, ee._step_probability_matrix(states, kern).toarray())
+
+    @pytest.mark.parametrize("n,x_max", [(1, 9), (2, 8), (3, 9)])
+    def test_successor_blocks_match_per_move_search(self, unit, monkeypatch, n, x_max):
+        monkeypatch.setattr(ee, "_TABLE_BLOCK", 7 * 5**n)  # seven rows per block
+        states = ee.enumerate_states(n, x_max)
+        succ, probs = ee._successor_table(states, unit)
+        for k, combo in enumerate(itertools.product(unit.offsets, repeat=n)):
+            for i, state in enumerate(states.states):
+                tgt = tuple(x + d for x, d in zip(state, combo))
+                assert succ[i, k] == (states.index[tgt] if tgt in states.index else -1)
+            assert probs[k] == pytest.approx(math.prod(unit.prob(d) for d in combo), rel=1e-15)
+
+    def test_successor_table_holds_one_table_at_a_time(self, unit):
+        states = ee.enumerate_states(3, 45)  # S = 14190, M = 125
+        tracemalloc.start()
+        try:
+            succ, _ = ee._successor_table(states, unit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * succ.nbytes
 
     def test_crossing_target_is_not_a_state(self, lazy):
         states = ee.enumerate_states(2, 4)
@@ -171,6 +194,19 @@ class TestLaws:
             ee.law_restricted(spec, lazy, tilt_of(), [0, 1, 2, 3, 4])
 
 
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    def test_budget_counts_log_power_intermediate(self, unit, monkeypatch):
+        # S = 28: the law has 28^2 entries and the dense log 28^2, but the
+        # gap-2 power broadcasts 28^3 = 21952 > 5000 entries
+        monkeypatch.setenv("ENSEMBLES_BUDGET", "5000")
+        spec = bridge_spec(2, 0, 4, (3, 1), (3, 1), x_max=8)
+        ee.law_restricted(spec, unit, tilt_of(), [0, 1])
+        with pytest.raises(ee.TooLarge, match=r"28\^3"):
+            ee.law_restricted(spec, unit, tilt_of(), [0, 2])
+        with pytest.raises(ee.TooLarge, match=r"28\^3"):
+            ee.conditional_bridge_law(spec, unit, tilt_of(), 1, 3, ((3, 1), (3, 1)))
+
+
 class TestMarginal:
     def test_midpoint_point_mass(self, srw):
         spec = bridge_spec(1, 0, 2, (1,), (1,), x_max=8)
@@ -220,6 +256,54 @@ class TestSteepBackward:
         for t in spec.times:
             d = ee.marginal_from_messages(res, t)
             assert d.log_z == pytest.approx(res.log_z, rel=1e-12)
+
+
+class TestSteepForward:
+    """A bridge forced up against a steep tilt: its forward messages sit
+    hundreds of nats below the states that stay low, beyond one shared
+    linear-space shift, yet they alone reach the pinned end."""
+
+    def test_forced_up_bridge_matches_brute_force(self, unit):
+        spec = bridge_spec(1, 0, 4, (1,), (9,), x_max=12)
+        res = ee.ensemble_messages(spec, unit, tilt_of(a=100.0, b=2.0, lam=1.0))
+        (cols, prob), = list(iter_paths(spec, unit))  # 1, 3, 5, 7, 9
+        assert res.log_z == pytest.approx(math.log(prob) - hand_area(cols, 100.0, 2.0, 1.0), rel=1e-12)
+        states = res.states
+        for t in spec.times:
+            d = ee.marginal_from_messages(res, t)
+            expected = np.zeros(states.size)
+            for (col,), p in brute_law(spec, unit, 100.0, 2.0, 1.0, [t]).items():
+                expected[states.id_of(col)] = p
+            assert np.abs(d.probs - expected).max() <= 1e-12
+
+    def test_two_curve_bridge_follows_its_one_path(self, unit):
+        spec = bridge_spec(2, 0, 5, (2, 1), (12, 11), x_max=14)
+        res = ee.ensemble_messages(spec, unit, tilt_of(a=30.0, b=2.0, lam=1.0))
+        cols = [(2 + 2 * k, 1 + 2 * k) for k in range(6)]  # both curves +2 at every step
+        assert res.log_z == pytest.approx(10 * math.log(0.05) - hand_area(cols, 30.0, 2.0, 1.0), rel=1e-12)
+        for t, col in zip(spec.times, cols):
+            assert ee.marginal_from_messages(res, t).probs[res.states.id_of(col)] == 1.0
+
+
+class TestChainedBackwardRedo:
+    """Rare moves under a steep tilt: a backward row redone at t + 1 carries
+    most of the mass of a row at t that the first backward pass left above
+    its ceiling, so the redo must reach every step before it."""
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @pytest.mark.parametrize("width,u,v", [(6, 3, 4), (7, 3, 3)])
+    def test_rare_moves_match_brute_force(self, width, u, v):
+        eps = 1e-250  # a path of two such moves has probability 0.0 in double
+        kernel = mc.make_kernel((-1, 0, 1), (eps, 1 - 2 * eps, eps))
+        spec = bridge_spec(1, 0, width, (u,), (v,), x_max=4)
+        res = ee.ensemble_messages(spec, kernel, tilt_of(a=300.0, b=2.0, lam=1.0))
+        states = res.states
+        for t in spec.times:
+            d = ee.marginal_from_messages(res, t)
+            expected = np.zeros(states.size)
+            for (col,), p in brute_law(spec, kernel, 300.0, 2.0, 1.0, [t]).items():
+                expected[states.id_of(col)] = p
+            assert np.abs(d.probs - expected).max() <= 1e-12
 
 
 class TestConditionalBridgeLaw:
