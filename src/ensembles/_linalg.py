@@ -1,12 +1,14 @@
 """Log-space linear algebra shared by the transfer engines.
 
-The exact engine's messages are log vectors with explicit -inf for zero
-mass; operators stay in linear space (their entries never underflow once
-row tilts are factored out as log vectors).  ``log_mat_vec`` is that
-engine's message step on its sparse matrices.  The polymer oracle keeps
-its messages in scaled linear space instead and takes one log per pass.
-``logsumexp`` works in place on one copy of its input (or on the input
-itself), so its peak is about one input's size.
+The exact engine's messages and product laws are log arrays with
+explicit -inf for zero mass; operators stay in linear space (their
+entries never underflow once row tilts are factored out as log
+vectors).  ``log_mat_vec`` is that engine's message step on its sparse
+matrices.  ``logsumexp`` sums in exact log space what a step must not
+lose (rows a shared shift underflowed, columns a product law sums out);
+it works in place on one copy of its input (or on the input itself), so
+its peak is about one input's size.  The polymer oracle keeps its
+messages in scaled linear space instead and takes one log per pass.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "NEG_INF",
     "logsumexp",
     "log_mat_vec",
-    "log_matmul",
     "normalize_log",
 ]
 
@@ -29,7 +30,7 @@ def logsumexp(a, axis=None, overwrite: bool = False):
     every term is -inf.  With ``overwrite`` the float array ``a`` is used as
     scratch; otherwise one copy of it is."""
     a = np.asarray(a, dtype=float) if overwrite else np.array(a, dtype=float)
-    top = np.max(a, axis=axis, keepdims=True, initial=NEG_INF)
+    top = np.asarray(np.max(a, axis=axis, keepdims=True, initial=NEG_INF))  # a 0-d max is a scalar
     top[np.isneginf(top)] = 0.0  # an all -inf slice sums to 0 below
     a -= top
     np.exp(a, out=a)
@@ -51,18 +52,13 @@ def log_mat_vec(mat, log_row_tilt, log_b: np.ndarray) -> np.ndarray:
         return log_row_tilt + np.log(out) + c
 
 
-def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    """Log-space matrix product via logsumexp over the shared axis; the
-    broadcast S x S x S sum is its one full-size array."""
-    return logsumexp(log_a[:, :, None] + log_b[None, :, :], axis=1, overwrite=True)
-
-
 def normalize_log(log_w: np.ndarray) -> tuple[np.ndarray, float]:
     """Probabilities and log partition value from unnormalized log weights."""
     top = np.max(log_w) if log_w.size else NEG_INF
     if not np.isfinite(top):
         raise ValueError("cannot normalize: total mass is zero")
-    p = np.exp(log_w - top)
+    p = log_w - top
+    np.exp(p, out=p)
     total = p.sum()
     p /= total
     return p, float(top + np.log(total))

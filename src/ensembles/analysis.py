@@ -28,6 +28,7 @@ from .model_core import (
     Walk,
     default_x_max,
     h_scale,
+    linear_potential,
     rescale,
 )
 
@@ -73,14 +74,7 @@ def binned_sup_cdf(values_a, pmf_a, values_b, pmf_b, width: float) -> float:
 
 def snap_lattice_chamber(u: Sequence[float], h_big: float) -> tuple[int, ...]:
     """Nearest strictly-decreasing positive integer vector to H * u."""
-    idx = [int(round(x * h_big)) for x in u]
-    n = len(idx)
-    out = [0] * n
-    prev = 0
-    for i in range(n - 1, -1, -1):
-        out[i] = max(idx[i], prev + 1, n - i)
-        prev = out[i]
-    return tuple(out)
+    return bo.order_chamber([int(round(x * h_big)) for x in u])
 
 
 def fit_loglinear(xs: Sequence[float], ys: Sequence[float], floor: float = 1e-12):
@@ -158,18 +152,20 @@ def mixing_curve(
             spec = EnsembleSpec(n=n, m_left=-half, n_right=half, boundary=boundary, x_max=x_max)
             laws.append(ee.law_restricted(spec, kernel, tilt, times))
         pts.append((k, ee.tv_exact(laws[0], laws[1])))
-    ks = [p[0] for p in pts]
-    tvs = [p[1] for p in pts]
+    fit = mixing_fit([k for k, _ in pts], [tv for _, tv in pts])
+    return MixingReport(mode=mode, points=tuple(pts), **fit)
+
+
+def mixing_fit(ks: Sequence[int], tvs: Sequence[float]) -> dict:
+    """Fitted decay rate c2 and log c1 of log tv ~ log c1 - c2 K, the fit's
+    r2, and whether tv never rises with K."""
     slope, intercept, r2 = fit_loglinear(ks, tvs)
-    monotone = all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
-    return MixingReport(
-        mode=mode,
-        points=tuple(pts),
-        c2=None if slope is None else -slope,
-        log_c1=intercept,
-        r2=r2,
-        monotone=monotone,
-    )
+    return {
+        "c2": None if slope is None else -slope,
+        "log_c1": intercept,
+        "r2": r2,
+        "monotone": all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:])),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +211,6 @@ def invariance_check(
     a_eff = a * sigma
     if height_cap is None:
         height_cap = bo.default_height_cap(a_eff, n) + max(u_cont) / sigma
-
-    from .model_core import linear_potential
 
     pts = []
     for lam in lambda_list:
@@ -286,8 +280,6 @@ def convergence_to_mu(
     target = bo.stationary_density(n, a_eff, tilt_b, grid)
     t_sites, t_pmf = bo.top_curve_pmf(target)
     t_vals = t_sites * grid.dx * sigma
-
-    from .model_core import linear_potential
 
     top = u_top if u_top is not None else n
     u = tuple(range(top, top - n, -1))
@@ -464,8 +456,6 @@ def good_block_experiment(
     """Monte Carlo estimate of the jointly-good-block density and the tail
     probability P(M0 <= nu * M) across growing windows, with nu fixed to
     half the pooled mean density."""
-    from .model_core import linear_potential
-
     pot = linear_potential(lam)
     tilt = TiltSpec(a=tilt_a, b=tilt_b, potential=pot)
     scale = h_scale(pot)

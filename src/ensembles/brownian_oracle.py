@@ -176,18 +176,22 @@ def _tilt_log_vector(states: ee.StateSpace, a: float, b: float, dx: float) -> np
     return -((x @ w) * dx * dx)  # area increment x * dt with dt = dx^2
 
 
+def order_chamber(idx: Sequence[int]) -> tuple[int, ...]:
+    """Integer heights raised, bottom curve first, just enough to be
+    positive and strictly decreasing."""
+    out, prev = [], 0
+    for x in reversed(idx):
+        prev = max(x, prev + 1)
+        out.append(prev)
+    return tuple(reversed(out))
+
+
 def snap_to_chamber(u: Sequence[float], dx: float, n_sites: int) -> tuple[int, ...]:
     """Nearest strictly-decreasing grid state to the real vector u."""
-    idx = [int(round(x / dx)) for x in u]
-    n = len(idx)
-    out = [0] * n
-    prev = 0
-    for i in range(n - 1, -1, -1):
-        out[i] = max(idx[i], prev + 1, n - i)
-        prev = out[i]
+    out = order_chamber([int(round(x / dx)) for x in u])
     if out[0] > n_sites:
         raise ValueError(f"boundary point {tuple(u)} does not fit under the height cap")
-    return tuple(out)
+    return out
 
 
 def _min_state(n: int) -> tuple[int, ...]:

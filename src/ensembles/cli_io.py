@@ -487,19 +487,11 @@ def _run_mixing(cfg: RunConfig, threads: int, seed: int):
             return rep.points[0]
 
         pts = _pmap(point, k_list, threads)
-        tvs = [tv for _, tv in pts]
-        slope, intercept, r2 = an.fit_loglinear(k_list, tvs)
-        monotone = all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
-        passed = passed and monotone
+        payload[mode] = an.mixing_fit(k_list, [tv for _, tv in pts])
+        passed = passed and payload[mode]["monotone"]
         header = ["K", "tv", "log_tv"]
         rows = [(k, tv, math.log(tv) if tv > 0 else float("-inf")) for k, tv in pts]
         curves[f"mixing_{mode}"] = (header, rows)
-        payload[mode] = {
-            "c2": None if slope is None else -slope,
-            "log_c1": intercept,
-            "r2": r2,
-            "monotone": monotone,
-        }
     return payload, curves, passed
 
 

@@ -72,13 +72,22 @@ def state_budget() -> float:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """All strictly decreasing n-tuples in {1..x_max}, in lexicographic order."""
+    """All strictly decreasing n-tuples in {1..x_max}, in lexicographic order.
+
+    A column's key reads its heights as base-(x_max + 1) digits, so the
+    sorted ``keys`` are the states' keys in id order."""
 
     n: int
     x_max: int
     states: tuple[tuple[int, ...], ...]
     arr: np.ndarray = field(compare=False, repr=False)
     index: dict = field(compare=False, repr=False)
+    keys: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        keys = self.key(self.arr)
+        keys.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
 
     @property
     def size(self) -> int:
@@ -88,12 +97,29 @@ class StateSpace:
     def space_key(self) -> tuple:
         return ("chamber", self.n, self.x_max)
 
+    def key(self, cols: np.ndarray) -> np.ndarray:
+        """Keys of a (..., n) integer array of columns.  The key is linear,
+        so a move's key is the difference of its target's and source's."""
+        return cols @ (self.x_max + 1) ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+
     def id_of(self, state: Sequence[int]) -> int:
         key = tuple(int(x) for x in state)
         try:
             return self.index[key]
         except KeyError:
             raise ValueError(f"{key} is not a state of the (n={self.n}, x_max={self.x_max}) space") from None
+
+    def ids(self, cols) -> np.ndarray:
+        """State ids of a (..., n) integer array of columns.  Raises
+        ValueError when any column is not a state: a height outside
+        [1, x_max] (whose key may alias a state's) or an unmatched key."""
+        cols = np.asarray(cols, dtype=np.int64)
+        key = self.key(cols)
+        pos = np.searchsorted(self.keys, key).clip(max=self.size - 1)
+        in_range = ((cols >= 1) & (cols <= self.x_max)).all()
+        if not (in_range and np.array_equal(self.keys[pos], key)):
+            raise ValueError(f"a column is not a state of the (n={self.n}, x_max={self.x_max}) space")
+        return pos
 
 
 def enumerate_states(n: int, x_max: int, max_states: float | None = None) -> StateSpace:
@@ -119,11 +145,20 @@ def enumerate_states(n: int, x_max: int, max_states: float | None = None) -> Sta
 
 
 def _kernel_moves(kernel: Kernel, n: int) -> list[tuple[np.ndarray, float]]:
+    """The |offsets|^n product moves and their probabilities.  The smallest
+    product, min(probs)^n, is checked as a sum of logs first: a product
+    below the smallest normal double would be dropped as 0.0 or lose its
+    digits, so it raises instead."""
+    log_min = n * math.log(min(kernel.probs))
+    if log_min < math.log(np.finfo(float).tiny):
+        raise ValueError(
+            f"the rarest product move of n={n} curves has probability "
+            f"10^{log_min / math.log(10):.1f}, below the smallest normal double"
+        )
     moves = []
     for combo in itertools.product(range(len(kernel.offsets)), repeat=n):
         delta = np.array([kernel.offsets[i] for i in combo], dtype=np.int64)
-        p = math.prod(kernel.probs[i] for i in combo)
-        moves.append((delta, p))
+        moves.append((delta, math.prod(kernel.probs[i] for i in combo)))
     return moves
 
 
@@ -137,9 +172,7 @@ def _successor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, np
         )
     arr = states.arr
     delta = np.array([d for d, _ in moves], dtype=np.int64).reshape(len(moves), states.n)
-    pows = (states.x_max + 1) ** np.arange(states.n - 1, -1, -1, dtype=np.int64)
-    keys = arr @ pows  # ascending because states are sorted lexicographically
-    dkeys = delta @ pows
+    dkeys = states.key(delta)
     succ = np.empty((states.size, len(moves)), dtype=np.int64)
     block = max(1, _TABLE_BLOCK // len(moves))  # rows per block: succ is the one (S, M) array
     for lo in range(0, states.size, block):
@@ -147,10 +180,10 @@ def _successor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, np
         valid = (rows[:, -1:] + delta[:, -1] >= 1) & (rows[:, :1] + delta[:, 0] <= states.x_max)
         for i in range(states.n - 1):  # strict order of curves i and i + 1 after the move
             valid &= (rows[:, i : i + 1] - rows[:, i + 1 : i + 2]) > (delta[:, i + 1] - delta[:, i])
-        # a valid target is a chamber state; its digits lie in [1, x_max], so
-        # its key is exactly keys + delta @ pows and the search finds it
+        # a valid target is a chamber state, so its key is the source's key
+        # plus the move's, and the search finds it
         out = succ[lo : lo + block]
-        out[:] = np.searchsorted(keys, keys[lo : lo + block, None] + dkeys)
+        out[:] = np.searchsorted(states.keys, states.keys[lo : lo + block, None] + dkeys)
         out[~valid] = -1
     return succ, np.array([p for _, p in moves])
 
@@ -179,15 +212,21 @@ def predecessor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, n
     return pred, probs
 
 
-def _log_rows(mat: sp.csr_matrix, rows: np.ndarray, log_v: np.ndarray) -> np.ndarray:
-    """log (mat @ exp(log_v)) at the masked rows, summed in log space: a
-    message step that no shared shift can underflow, for a few rows."""
+def _log_rows(mat: sp.csr_matrix, rows, log_v: np.ndarray) -> np.ndarray:
+    """log (mat @ exp(log_v)) at the selected rows, over the last axis of
+    the (..., S) log_v, summed in log space: a message step that no shared
+    shift can underflow.  Its one large array, the (..., rows, K) table of
+    terms padded to the longest row, is held to the budget."""
     sub = mat[rows]
     counts = np.diff(sub.indptr)
-    table = np.full((counts.size, max(counts.max(), 1)), NEG_INF)
+    shape = log_v.shape[:-1] + (counts.size, max(counts.max(), 1))
+    if math.prod(shape) > state_budget():
+        dims = " x ".join(map(str, shape))
+        raise TooLarge(f"log-space sum over a {dims} table exceeds budget {state_budget():g}")
+    table = np.full(shape, NEG_INF)
     row_of = np.repeat(np.arange(counts.size), counts)
-    table[row_of, np.arange(sub.nnz) - sub.indptr[row_of]] = np.log(sub.data) + log_v[sub.indices]
-    return la.logsumexp(table, axis=1, overwrite=True)
+    table[..., row_of, np.arange(sub.nnz) - sub.indptr[row_of]] = np.log(sub.data) + log_v[..., sub.indices]
+    return la.logsumexp(table, axis=-1, overwrite=True)
 
 
 def tilt_log_vector(states: StateSpace, tilt: TiltSpec) -> np.ndarray:
@@ -213,13 +252,6 @@ class TransferStep:
         i = self.states.id_of(s_from)
         j = self.states.id_of(s_to)
         return float(self.matrix[i, j]) * math.exp(self.log_tilt[i])
-
-    def dense_log(self) -> np.ndarray:
-        """Full log-space matrix (log step prob + source tilt)."""
-        if self.states.size**2 > state_budget():
-            raise TooLarge("dense log transfer matrix exceeds budget")
-        with np.errstate(divide="ignore"):
-            return np.log(self.matrix.toarray()) + self.log_tilt[:, None]
 
 
 def step_matrix(states: StateSpace, kernel: Kernel, tilt: TiltSpec) -> TransferStep:
@@ -437,28 +469,6 @@ def marginal_from_messages(res: TransferResult, t: int) -> Distribution:
     )
 
 
-def _dense_log_power_chain(step: TransferStep, gaps: Sequence[int]) -> dict[int, np.ndarray]:
-    """Log-space powers of the transfer matrix for each requested gap.
-
-    Every power past the first broadcasts an S x S x S array in
-    ``la.log_matmul``; the budget counts it, and ``dense_log`` the S x S
-    log, before either is allocated."""
-    s = step.states.size
-    if max(gaps, default=1) > 1 and s**3 > state_budget():
-        raise TooLarge(f"log-space power with {s}^3 intermediate entries exceeds budget {state_budget():g}")
-    base = step.dense_log()
-    powers: dict[int, np.ndarray] = {1: base}
-    for gap in sorted(set(gaps)):
-        if gap in powers:
-            continue
-        best = max(g for g in powers if g <= gap)
-        cur = powers[best]
-        for g in range(best, gap):
-            cur = la.log_matmul(cur, base)
-            powers[g + 1] = cur
-    return powers
-
-
 def product_space_key(states: StateSpace, times: Sequence[int]) -> tuple:
     return ("chamber_product", states.n, states.x_max, tuple(int(t) for t in times))
 
@@ -487,21 +497,35 @@ def law_restricted(
 
 def law_from_messages(res: TransferResult, times: Sequence[int]) -> Distribution:
     times = [int(t) for t in times]
-    s = res.states.size
-    k = len(times)
-    if s**k > state_budget():
-        raise TooLarge(f"product law with {s}^{k} entries exceeds budget {state_budget():g}")
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    powers = _dense_log_power_chain(res.step, gaps) if gaps else {}
-    joint = res.forward[res.col(times[0])]
-    for gap in gaps:
-        joint = joint[..., :, None] + powers[gap]
-    joint = joint + res.backward[res.col(times[-1])]
     return Distribution(
         space=product_space_key(res.states, times),
-        log_weights=joint.ravel(),
+        log_weights=_log_joint(res, times).ravel(),
         meta={"states": res.states, "times": tuple(times)},
     )
+
+
+def _log_joint(res: TransferResult, times: Sequence[int]) -> np.ndarray:
+    """Unnormalized (S,) * k log law of the columns at the sorted times,
+    built one step of the CSR operator at a time: a requested column keeps
+    its axis and the step's nonzeros scatter into a new one; any other
+    column is summed out over the transpose's rows.  Its largest array is
+    the S^k law, or the (..., S, K) table of a summed-out column."""
+    s = res.states.size
+    if s ** len(times) > state_budget():
+        raise TooLarge(f"product law with {s}^{len(times)} entries exceeds budget {state_budget():g}")
+    mat, log_tilt = res.step.matrix, res.step.log_tilt
+    src = np.repeat(np.arange(s), np.diff(mat.indptr))
+    log_step = np.log(mat.data) + log_tilt[src]
+    mat_t = mat.T.tocsr()
+    joint = res.forward[res.col(times[0])]
+    for t in range(times[0], times[-1]):
+        if t in times:
+            nxt = np.full(joint.shape + (s,), NEG_INF)
+            nxt[..., src, mat.indices] = joint[..., src] + log_step
+            joint = nxt
+        else:
+            joint = _log_rows(mat_t, slice(None), joint + log_tilt)
+    return joint + res.backward[res.col(times[-1])]
 
 
 def marginalize_product(dist: Distribution, keep_times: Sequence[int]) -> Distribution:
@@ -548,15 +572,15 @@ def conditional_bridge_law(
     """
     if not (spec.m_left <= K < L <= spec.n_right):
         raise ValueError("need m_left <= K < L <= n_right")
-    states = enumerate_states(spec.n, spec.x_max)
+    res = ensemble_messages(spec, kernel, tilt)
+    states = res.states
     i_k = states.id_of(endpoints[0])
     i_l = states.id_of(endpoints[1])
 
-    res = ensemble_messages(spec, kernel, tilt)
-    powers = _dense_log_power_chain(res.step, [L - K])
-    pair_log_mass = (
-        res.forward[res.col(K)][i_k] + powers[L - K][i_k, i_l] + res.backward[res.col(L)][i_l]
-    )
+    # (a) condition the global joint law at times {K..L} on the endpoints;
+    # the pair's mass is the sum over this slice
+    conditioned = _log_joint(res, range(K, L + 1))[i_k][..., i_l]
+    pair_log_mass = la.logsumexp(conditioned)
     if not np.isfinite(res.log_z) or pair_log_mass - res.log_z < math.log(1e-300):
         raise ZeroProbabilityEndpoint(
             f"conditioning on X({K})={tuple(endpoints[0])}, X({L})={tuple(endpoints[1])} has no mass"
@@ -570,15 +594,9 @@ def conditional_bridge_law(
             meta={"states": states, "times": ()},
         )
         return ConditionalLaw(law=trivial, diagnostic_tv=0.0)
-
-    # (a) condition the global joint law at times {K..L} on the endpoints
-    global_law = law_from_messages(res, list(range(K, L + 1)))
-    s = states.size
-    arr = global_law.log_weights.reshape((s,) * (L - K + 1))
-    conditioned = arr[i_k][..., i_l]
     route_a = Distribution(
         space=product_space_key(states, interior),
-        log_weights=np.asarray(conditioned).ravel(),
+        log_weights=np.ravel(conditioned),
         meta={"states": states, "times": interior},
     )
 

@@ -97,19 +97,7 @@ def _local_transfer(n: int, x_loc: int, kernel: Kernel, tilt: TiltSpec | None):
     to, move = np.nonzero(pred >= 0)
     # largest change of the log tilt along one step
     tilt_step = float(np.abs(log_tilt[pred[to, move]] - log_tilt[to]).max()) if to.size else 0.0
-    base = x_loc + 1
-    pows = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = states.arr @ pows
-    return states, mat_t, log_tilt, tilt_step, pred, probs, keys, pows
-
-
-def _column_ids(keys: np.ndarray, pows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Vectorized state-id lookup for a batch of columns (R, n)."""
-    ck = cols @ pows
-    pos = np.searchsorted(keys, ck)
-    if np.any(pos >= keys.size) or np.any(keys[pos.clip(0, keys.size - 1)] != ck):
-        raise ValueError("column is not a state of the local space")
-    return pos
+    return states, mat_t, log_tilt, tilt_step, pred, probs
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +165,14 @@ def _apply_block_batch(
         ends_top = max(ends_top, int(heights[:, 0, spec.col(l)].max()))
     x_loc = ends_top + m * kernel.max_step + 2
     x_loc = min(spec.x_max, int(math.ceil(x_loc / 4.0)) * 4)
-    states, mat_t, log_tilt, tilt_step, pred, probs, keys, pows = _local_transfer(
-        spec.n, x_loc, kernel, tilt
-    )
+    states, mat_t, log_tilt, tilt_step, pred, probs = _local_transfer(spec.n, x_loc, kernel, tilt)
 
     r = heights.shape[0]
-    start = _column_ids(keys, pows, heights[:, :, col_k])
+    start = states.ids(heights[:, :, col_k])
     last = None
     if not free:
         end = heights[:, :, spec.col(l)]
-        last = _column_ids(keys, pows, end)
+        last = states.ids(end)
         # steps each state needs at least to reach its chain's pinned end
         to_end = np.abs(states.arr.T[:, :, None] - end.T[:, None, :]).max(axis=0)
     # Scaled forward pass in linear space (Rabiner 1989), one column per

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_law, brute_partition, chi_square_p, hand_area, iter_paths
@@ -43,6 +43,18 @@ class TestStateSpace:
         s = ee.enumerate_states(2, 4)
         with pytest.raises(ValueError):
             s.id_of((1, 2))
+
+    def test_ids_match_id_of(self):
+        s = ee.enumerate_states(3, 7)
+        cols = s.arr[::-1].reshape(5, 7, 3)
+        assert s.ids(cols).tolist() == [[s.id_of(c) for c in row] for row in cols]
+
+    @pytest.mark.parametrize("col", [(1, 2), (3, 3), (2, 6), (1, 0), (0, -4)])
+    def test_ids_reject_non_states(self, col):
+        # (2, 6) has the key of (3, 1) and (1, 0) that of (0, 5) in base 5
+        s = ee.enumerate_states(2, 4)
+        with pytest.raises(ValueError, match="not a state"):
+            s.ids(np.array([(4, 3), col]))
 
 
 class TestStepMatrix:
@@ -87,6 +99,16 @@ class TestStepMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * succ.nbytes
+
+    def test_rarest_product_move_raises_instead_of_vanishing(self):
+        # a product of two 1e-200 moves is 1e-400, below the smallest double
+        kernel = mc.make_kernel((-1, 0, 1), (1e-200, 1 - 2e-200, 1e-200))
+        spec = bridge_spec(2, 0, 3, (2, 1), (4, 3), x_max=4)
+        with pytest.raises(ValueError, match=r"n=2 curves has probability 10\^-400\.0"):
+            ee.ensemble_messages(spec, kernel, tilt_of(a=1000.0, b=1.5))
+        one = bridge_spec(1, 0, 3, (1,), (4,), x_max=4)
+        res = ee.ensemble_messages(one, kernel, tilt_of(a=1000.0, b=1.5))
+        assert res.log_z == pytest.approx(3 * math.log(1e-200) - 1000.0 * (1 + 2 + 3), rel=1e-12)
 
     def test_crossing_target_is_not_a_state(self, lazy):
         states = ee.enumerate_states(2, 4)
@@ -195,16 +217,96 @@ class TestLaws:
 
 
     @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
-    def test_budget_counts_log_power_intermediate(self, unit, monkeypatch):
-        # S = 28: the law has 28^2 entries and the dense log 28^2, but the
-        # gap-2 power broadcasts 28^3 = 21952 > 5000 entries
-        monkeypatch.setenv("ENSEMBLES_BUDGET", "5000")
+    def test_gap_law_runs_below_cube_budget(self, unit, monkeypatch):
+        # S = 28 and at most K = 22 predecessors: summing out the column at
+        # t = 1 needs a 28 x 28 x 22 table, below the 28^3 a power would take
         spec = bridge_spec(2, 0, 4, (3, 1), (3, 1), x_max=8)
-        ee.law_restricted(spec, unit, tilt_of(), [0, 1])
-        with pytest.raises(ee.TooLarge, match=r"28\^3"):
-            ee.law_restricted(spec, unit, tilt_of(), [0, 2])
-        with pytest.raises(ee.TooLarge, match=r"28\^3"):
-            ee.conditional_bridge_law(spec, unit, tilt_of(), 1, 3, ((3, 1), (3, 1)))
+        states = ee.enumerate_states(2, 8)
+        pred, _ = ee.predecessor_table(states, unit)
+        s, k = states.size, int((pred >= 0).sum(axis=1).max())
+        assert s**2 * k < s**3
+        monkeypatch.setenv("ENSEMBLES_BUDGET", str((s**2 * k + s**3) // 2))
+        for times in ([0, 2], [0, 3], [1, 4]):
+            law = ee.law_restricted(spec, unit, tilt_of(), times)
+            arr = law.probs.reshape(s, s)
+            expected = np.zeros((s, s))
+            for (c0, c1), p in brute_law(spec, unit, 1.0, 2.0, 1.0, times).items():
+                expected[states.id_of(c0), states.id_of(c1)] = p
+            assert np.abs(arr - expected).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    def test_budget_counts_summed_out_table(self, unit, monkeypatch):
+        spec = bridge_spec(2, 0, 4, (3, 1), (3, 1), x_max=8)
+        res = ee.ensemble_messages(spec, unit, tilt_of())
+        s = res.states.size
+        pred, _ = ee.predecessor_table(res.states, unit)
+        table = s * s * int((pred >= 0).sum(axis=1).max())
+        monkeypatch.setenv("ENSEMBLES_BUDGET", str(table - 1))  # the 28^2 law itself fits
+        ee.law_from_messages(res, [0, 1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ee.TooLarge, match="28 x 28 x 22 table"):
+                ee.law_from_messages(res, [0, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table * 8 / 2
+
+
+@st.composite
+def law_cases(draw):
+    """A small bridge or walk (n <= 2, width <= 6, one of the preset
+    kernels) with one to three distinct times, and, for a bridge, an end
+    that some path reaches."""
+    kernel = draw(st.sampled_from([mc.simple_walk(), mc.lazy_walk(), mc.unit_walk()]))
+    n = draw(st.integers(1, 2))
+    x_max = draw(st.integers(n + 1, n + 3))
+    gaps = draw(st.lists(st.integers(1, 3), max_size=2))
+    times = [draw(st.integers(0, 6 - sum(gaps)))]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    width = draw(st.integers(max(times[-1], 1), 6))
+    chamber = sorted(tuple(reversed(c)) for c in itertools.combinations(range(1, x_max + 1), n))
+    u = draw(st.sampled_from(chamber))
+    tilt = (draw(st.floats(0.2, 2.0)), draw(st.floats(1.1, 3.0)), draw(st.floats(0.2, 1.0)))
+    bridge = draw(st.booleans())
+    return kernel, n, x_max, width, u, times, tilt, bridge, draw(st.integers(0, 10**6))
+
+
+class TestLawProperties:
+    """Product and conditional laws against the brute-force path sum."""
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(law_cases())
+    def test_laws_match_brute_force(self, case):
+        kernel, n, x_max, width, u, times, (a, b, lam), bridge, pick = case
+        spec = walk_spec(n, 0, width, u, x_max)
+        ends = sorted({cols[-1] for cols, _ in iter_paths(spec, kernel)})
+        assume(ends)  # some path stays in the chamber
+        if bridge:
+            spec = bridge_spec(n, 0, width, u, ends[pick % len(ends)], x_max)
+        tilt = tilt_of(a=a, b=b, lam=lam)
+        law = ee.law_restricted(spec, kernel, tilt, times)
+        states = law.meta["states"]
+        s = states.size
+        expected = np.zeros((s,) * len(times))
+        for key, p in brute_law(spec, kernel, a, b, lam, times).items():
+            expected[tuple(states.id_of(c) for c in key)] = p
+        assert np.abs(law.probs - expected.ravel()).max() <= 1e-12
+
+        k, l = times[0], times[-1]
+        if k == l or s ** (l - k + 1) > 10**5:
+            return
+        joint = brute_law(spec, kernel, a, b, lam, list(range(k, l + 1)))
+        likeliest = max(joint, key=joint.get)  # columns at k..l of the heaviest window
+        cond = ee.conditional_bridge_law(spec, kernel, tilt, k, l, (likeliest[0], likeliest[-1]))
+        expected = np.zeros((s,) * (l - k - 1))
+        for key, p in joint.items():
+            if (key[0], key[-1]) == (likeliest[0], likeliest[-1]):
+                expected[tuple(states.id_of(c) for c in key[1:-1])] += p
+        assert np.abs(cond.law.probs - expected.ravel() / expected.sum()).max() <= 1e-12
+        assert cond.diagnostic_tv <= 1e-10
 
 
 class TestMarginal:
