@@ -11,6 +11,7 @@ trends, bounded second differences, zero dominance violations).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,6 +20,7 @@ import numpy as np
 from . import brownian_oracle as bo
 from . import exact_engine as ee
 from . import gibbs_sampler as gs
+from ._linalg import logsumexp
 from .model_core import (
     Bridge,
     EnsembleSpec,
@@ -70,6 +72,15 @@ def binned_sup_cdf(values_a, pmf_a, values_b, pmf_b, width: float) -> float:
     fa /= fa[-1]
     fb /= fb[-1]
     return float(np.max(np.abs(fa - fb)))
+
+
+def pmap(fn, items: Sequence, threads: int) -> list:
+    """Order-preserving map, optionally across a thread pool; results are
+    assembled by input position so thread count never changes output."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def snap_lattice_chamber(u: Sequence[float], h_big: float) -> tuple[int, ...]:
@@ -128,30 +139,45 @@ def mixing_curve(
     mode: str = "bridge",
     x_max: int | None = None,
     window_delta: int = 0,
+    threads: int = 1,
 ) -> MixingReport:
     """Exact TV between the central-window laws of two ensembles whose
     boundary data (and optionally window size) differ, as the boundary
-    recedes by K."""
+    recedes by K.
+
+    Both ensembles of a point share the kernel, the tilt and x_max, so
+    their laws on the window {-t..t} have the form
+    f[x_-t] * J(x_-t .. x_t) * b[x_t] with one J, the window's own
+    kernel.  Their TV is therefore the TV of their laws on the two end
+    columns (x_-t, x_t).  The S x S log kernel J_2, the interior summed
+    out, is built once per call; each point adds to it the end messages
+    f and b of its two ensembles' own passes.  Points are mapped over
+    ``threads``."""
     if mode not in ("walk", "bridge"):
         raise ValueError("mode must be 'walk' or 'bridge'")
     u = tuple(int(x) for x in u)
     w = tuple(int(x) for x in w)
     if x_max is None:
         x_max = default_x_max(tilt.potential.lam, max(u[0], w[0]))
-    times = list(range(-t_lattice, t_lattice + 1))
-    pts = []
-    for k in sorted(int(k) for k in k_list):
-        half_a = k + t_lattice
-        half_b = half_a + window_delta
+    t = t_lattice
+    states = ee.enumerate_states(n, x_max)
+    if t:
+        zeros = np.zeros(states.size)
+        window = ee._log_joint(ee.step_matrix(states, kernel, tilt), (-t, t), zeros, zeros)
+    space = ee.product_space_key(states, sorted({-t, t}))
+
+    def point(k):
         laws = []
-        for half, bdry in ((half_a, u), (half_b, w)):
-            if mode == "bridge":
-                boundary = Bridge(u=bdry, v=bdry)
-            else:
-                boundary = Walk(u=bdry)
+        for half, bdry in ((k + t, u), (k + t + window_delta, w)):
+            boundary = Bridge(u=bdry, v=bdry) if mode == "bridge" else Walk(u=bdry)
             spec = EnsembleSpec(n=n, m_left=-half, n_right=half, boundary=boundary, x_max=x_max)
-            laws.append(ee.law_restricted(spec, kernel, tilt, times))
-        pts.append((k, ee.tv_exact(laws[0], laws[1])))
+            res = ee.ensemble_messages(spec, kernel, tilt)
+            f, b = res.forward[res.col(-t)], res.backward[res.col(t)]
+            log_w = np.add.outer(f, b) + window if t else f + b
+            laws.append(ee.Distribution(space=space, log_weights=log_w.ravel()))
+        return k, ee.tv_exact(laws[0], laws[1])
+
+    pts = pmap(point, sorted(int(k) for k in k_list), threads)
     fit = mixing_fit([k for k, _ in pts], [tv for _, tv in pts])
     return MixingReport(mode=mode, points=tuple(pts), **fit)
 
@@ -490,14 +516,7 @@ def good_block_experiment(
             m_blocks = rep.m_blocks
         return half, m_blocks, np.array(counts)
 
-    items = list(enumerate(window_halves))
-    if threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(one_window, items))
-    else:
-        raw = [one_window(x) for x in items]
+    raw = pmap(one_window, list(enumerate(window_halves)), threads)
     total = sum(c.sum() for _, _, c in raw)
     blocks_total = sum(2 * m * len(c) for _, m, c in raw)
     pooled_density = total / blocks_total if blocks_total else 0.0
@@ -550,7 +569,7 @@ def log_partition_slope(
 ) -> SlopeReport:
     """log of the walk partition value over a T grid, with the fitted
     asymptotic slope; finite second differences certify the linear lower
-    envelope."""
+    envelope.  One forward pass over the longest window gives every T."""
     if len(w_cont) != n:
         raise ValueError("w_cont must have n entries")
     if w_cont[0] > eta:
@@ -559,13 +578,12 @@ def log_partition_slope(
     u = snap_lattice_chamber(w_cont, scale.h_big)
     if x_max is None:
         x_max = default_x_max(tilt.potential.lam, u[0])
-    pts = []
-    for t_cont in sorted(float(t) for t in t_list):
-        half = max(int(round(scale.h_big**2 * t_cont)), 1)
-        spec = EnsembleSpec(n=n, m_left=0, n_right=2 * half, boundary=Walk(u=u), x_max=x_max)
-        res = ee.partition_walk(spec, kernel, tilt)
-        # the realized window, half * h^2, is what log Z actually scales with
-        pts.append((half * scale.h_small**2, res.log_z))
+    halves = [max(int(round(scale.h_big**2 * t_cont)), 1) for t_cont in sorted(float(t) for t in t_list)]
+    spec = EnsembleSpec(n=n, m_left=0, n_right=2 * max(halves), boundary=Walk(u=u), x_max=x_max)
+    forward = ee.partition_walk(spec, kernel, tilt).forward
+    # a walk's log Z over [0, 2 half] sums the forward message at 2 half;
+    # the realized window, half * h^2, is what log Z actually scales with
+    pts = [(half * scale.h_small**2, float(logsumexp(forward[2 * half]))) for half in halves]
     ts = np.array([p[0] for p in pts])
     zs = np.array([p[1] for p in pts])
     seg = tuple((zs[i + 1] - zs[i]) / (ts[i + 1] - ts[i]) for i in range(len(pts) - 1))

@@ -13,7 +13,11 @@ chamber states and box index are built once and shared by every call on
 it.  A one-time marginal at step j runs the forward pass for j steps and
 the backward pass for the remaining n_steps - j, in scaled linear space
 with accumulated log scales (Rabiner 1989), so it costs one polymer pass
-and keeps only two state vectors.  The stationary density comes from
+and keeps only two state vectors; when both ends are the same point, the
+shorter half is run once and mirrored by the tilt, so it costs
+max(j, n_steps - j) steps.  Where a steep tilt may have flushed an entry
+that the marginal needs, both messages are recomputed in exact log
+space (``_log_killed_step``).  The stationary density comes from
 Lanczos (ARPACK, Lehoucq, Sorensen & Yang 1998) on the symmetrized
 tilted step.
 """
@@ -143,13 +147,8 @@ def _killed_step(n: int, n_sites: int):
     the chamber or the cap dropped, and G is symmetric."""
     from scipy.ndimage import correlate1d
 
-    if n_sites < n:
-        raise ValueError("height cap too small for n ordered curves")
-    if n_sites**n > ee.state_budget():
-        raise ee.TooLarge(f"{n_sites}^{n} box cells exceed budget {ee.state_budget():g}")
-    states, flat = _chamber_box(n, n_sites)
-    stencil = np.exp(-0.5 * np.arange(-STENCIL_REACH, STENCIL_REACH + 1) ** 2)
-    stencil /= stencil.sum()
+    states, flat = _checked_box(n, n_sites)
+    stencil = _stencil()
 
     def apply(v: np.ndarray) -> np.ndarray:
         box = np.zeros(n_sites**n)
@@ -160,6 +159,52 @@ def _killed_step(n: int, n_sites: int):
         return box.ravel()[flat]
 
     return states, apply
+
+
+def _log_killed_step(n: int, n_sites: int):
+    """Chamber states and the step of ``_killed_step`` on log vectors,
+    summed in exact log space: per axis, the largest of the shifted,
+    weighted copies is factored out of their sum, so no term underflows
+    against another.  About five box-sized arrays are live at once."""
+    states, flat = _checked_box(n, n_sites)
+    log_w = np.log(_stencil())
+
+    def apply(log_v: np.ndarray) -> np.ndarray:
+        box = np.full(n_sites**n, NEG_INF)
+        box[flat] = log_v
+        box = box.reshape((n_sites,) * n)
+        for axis in range(n):
+            pad = [(0, 0)] * n
+            pad[axis] = (STENCIL_REACH, STENCIL_REACH)
+            padded = np.pad(box, pad, constant_values=NEG_INF)
+
+            def terms():
+                for k, lw in enumerate(log_w):
+                    yield np.take(padded, np.arange(k, k + n_sites), axis=axis) + lw
+
+            top = functools.reduce(np.maximum, terms())
+            top[np.isneginf(top)] = 0.0  # a cell with no finite term stays -inf below
+            acc = sum(np.exp(t - top) for t in terms())
+            with np.errstate(divide="ignore"):
+                box = np.log(acc) + top
+        return box.ravel()[flat]
+
+    return states, apply
+
+
+def _checked_box(n: int, n_sites: int) -> tuple[ee.StateSpace, np.ndarray]:
+    """``_chamber_box`` after the cap and budget checks of a killed step."""
+    if n_sites < n:
+        raise ValueError("height cap too small for n ordered curves")
+    if n_sites**n > ee.state_budget():
+        raise ee.TooLarge(f"{n_sites}^{n} box cells exceed budget {ee.state_budget():g}")
+    return _chamber_box(n, n_sites)
+
+
+def _stencil() -> np.ndarray:
+    """Per-coordinate step weights e^{-m^2/2}, |m| <= STENCIL_REACH, normalized."""
+    stencil = np.exp(-0.5 * np.arange(-STENCIL_REACH, STENCIL_REACH + 1) ** 2)
+    return stencil / stencil.sum()
 
 
 def check_polymer_budget(n: int, grid: GridSpec) -> None:
@@ -256,16 +301,73 @@ def _polymer_messages(
     backward pass n_steps - j steps from the right one, each through
     ``_scaled_pass``: one polymer pass in all, and nothing of size
     n_steps x S is stored.  G is symmetric, so a forward step is G applied
-    to the tilted message and a backward step is the tilt times G(v)."""
+    to the tilted message and a backward step is the tilt times G(v).
+
+    When both ends are the same one-hot e_u (ZeroBC, Fixed(u, u)), the
+    shorter half of m = min(j, n_steps - j) steps runs once: with D the
+    tilt, (DG)^m e_u = D (GD)^m e_u / D(u) mirrors a forward half into a
+    backward one.  The longer half then runs only its remaining
+    |n_steps - 2j| steps.
+
+    A scaled pass flushes entries more than ~708 nats below its top.  If
+    the tilt itself spans that much, or ``_may_have_lost_mass`` finds a
+    flushed entry that could matter, both messages are run again in
+    exact log space."""
     check_polymer_budget(n, grid)
     states, g = _killed_step(n, grid.n_sites)
     log_tilt = _tilt_log_vector(states, a, b, grid.dx)
     top = log_tilt.max()  # factored out, so the tilt cannot underflow as a whole
     tilt = np.exp(log_tilt - top)
     f0, bT, _ = _boundary_vectors(n, grid, boundary, states.size, states)
-    fwd = _scaled_pass(lambda v: g(v * tilt), f0, j) + j * top
-    bwd = _scaled_pass(lambda v: g(v) * tilt, bT, grid.n_steps - j) + (grid.n_steps - j) * top
+
+    def forward(log_v, steps):
+        return _scaled_pass(lambda v: g(v * tilt), log_v, steps) + steps * top
+
+    def backward(log_v, steps):
+        return _scaled_pass(lambda v: g(v) * tilt, log_v, steps) + steps * top
+
+    rest = grid.n_steps - j
+    ends = np.flatnonzero(np.isfinite(f0))
+    if ends.size != 1 or not np.array_equal(f0, bT):
+        fwd, bwd = forward(f0, j), backward(bT, rest)
+    else:
+        fwd = forward(f0, min(j, rest))
+        bwd = log_tilt + fwd - log_tilt[ends[0]]
+        if j < rest:
+            bwd = backward(bwd, rest - j)
+        else:
+            fwd = forward(fwd, j - rest)
+    # a tilt spanning more than ~708 nats flushes part of itself
+    if top - log_tilt.min() > -ee._LOG_TINY or _may_have_lost_mass(states, ((fwd, f0, j), (bwd, bT, rest))):
+        _, log_g = _log_killed_step(n, grid.n_sites)
+        fwd, bwd = f0, bT
+        for _ in range(j):
+            fwd = log_g(fwd + log_tilt)
+        for _ in range(rest):
+            bwd = log_tilt + log_g(bwd)
     return states, fwd, bwd
+
+
+def _may_have_lost_mass(states: ee.StateSpace, passes) -> bool:
+    """Whether a scaled pass may have flushed an entry that matters.
+
+    ``passes`` holds the forward and the backward (log message, start
+    vector, steps).  An entry may be flushed when it lies more than ~708
+    nats below its message's top and its pass can reach it: each step
+    moves a curve at most STENCIL_REACH sites from a one-point start.  It
+    matters when, times the other message, it could hold marginal mass
+    within _NEGLIGIBLE nats of the marginal's top."""
+    (fwd, _, _), (bwd, _, _) = passes
+    total = np.max(fwd + bwd)
+    for (this, start, steps), (other, _, _) in (passes, passes[::-1]):
+        floor = this.max() + ee._LOG_TINY
+        reach = np.isfinite(start)
+        if not reach.all():
+            reach = np.abs(states.arr - states.arr[reach]).max(axis=1) <= STENCIL_REACH * steps
+        other_up = np.maximum(other, other.max() + ee._LOG_TINY)
+        if np.any((this < floor) & reach & (floor + other_up > total - ee._NEGLIGIBLE)):
+            return True
+    return False
 
 
 def _time_index(grid: GridSpec, t: float) -> int:

@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -477,20 +476,17 @@ def _run_mixing(cfg: RunConfig, threads: int, seed: int):
     payload = {}
     passed = True
     for mode in modes:
-
-        def point(k, _mode=mode):
-            rep = an.mixing_curve(
-                n, kernel, tilt, cfg["mixing.t_lattice"], [k],
-                cfg["mixing.u"], cfg["mixing.w"],
-                mode=_mode, x_max=x_max, window_delta=cfg["mixing.window_delta"],
-            )
-            return rep.points[0]
-
-        pts = _pmap(point, k_list, threads)
-        payload[mode] = an.mixing_fit(k_list, [tv for _, tv in pts])
+        rep = an.mixing_curve(
+            n, kernel, tilt, cfg["mixing.t_lattice"], sorted(set(k_list)), cfg["mixing.u"],
+            cfg["mixing.w"], mode=mode, x_max=x_max, window_delta=cfg["mixing.window_delta"],
+            threads=threads,
+        )
+        tv_of = dict(rep.points)
+        tvs = [tv_of[k] for k in k_list]  # a repeated K keeps its rows
+        payload[mode] = an.mixing_fit(k_list, tvs)
         passed = passed and payload[mode]["monotone"]
         header = ["K", "tv", "log_tv"]
-        rows = [(k, tv, math.log(tv) if tv > 0 else float("-inf")) for k, tv in pts]
+        rows = [(k, tv, math.log(tv) if tv > 0 else float("-inf")) for k, tv in zip(k_list, tvs)]
         curves[f"mixing_{mode}"] = (header, rows)
     return payload, curves, passed
 
@@ -509,7 +505,7 @@ def _run_invariance(cfg: RunConfig, threads: int, seed: int):
         )
         return rep.points[0]
 
-    pts = _pmap(point, lams, threads)
+    pts = an.pmap(point, lams, threads)
     header = ["lambda", "sup_cdf_dist"]
     payload = {"boundary": cfg["invariance.boundary"], "m_cont": cfg["invariance.m_cont"]}
     return payload, {"invariance": (header, list(pts))}, None
@@ -529,7 +525,7 @@ def _run_converge(cfg: RunConfig, threads: int, seed: int):
         )
         return rep.points[0]
 
-    pts = _pmap(point, lams, threads)
+    pts = an.pmap(point, lams, threads)
     modes = ("walk", "bridge") if mode == "both" else (mode,)
     header = ["lambda"] + [f"tv_{m}" for m in modes]
     rows = [(lam,) + tuple(entry[m] for m in modes) for lam, entry in pts]
@@ -648,15 +644,6 @@ _RUNNERS: dict[str, Callable] = {
     "slope": _run_slope,
     "oracle": _run_oracle,
 }
-
-
-def _pmap(fn, items, threads: int):
-    """Order-preserving map, optionally across a thread pool; results are
-    assembled by input position so thread count never changes output."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

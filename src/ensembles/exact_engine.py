@@ -188,15 +188,29 @@ def _successor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, np
     return succ, np.array([p for _, p in moves])
 
 
-def _step_probability_matrix(states: StateSpace, kernel: Kernel) -> sp.csr_matrix:
-    """CSR matrix of free-walk step probabilities between chamber states."""
-    succ, probs = _successor_table(states, kernel)
+def _csr_step(succ: np.ndarray, probs: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of free-walk step probabilities from a successor table."""
     valid = succ >= 0
     indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
     data = np.broadcast_to(probs, succ.shape)[valid]
-    mat = sp.csr_matrix((data, succ[valid], indptr), shape=(states.size, states.size))
+    mat = sp.csr_matrix((data, succ[valid], indptr), shape=(succ.shape[0], succ.shape[0]))
     mat.sum_duplicates()
     return mat
+
+
+def _predecessors(succ: np.ndarray) -> np.ndarray:
+    """(S, M) id of the state each product move comes from, -1 where that
+    state is outside the chamber, from a successor table; the candidates
+    of a target stay in move order."""
+    pred = np.full_like(succ, -1)
+    rows, moves = np.nonzero(succ >= 0)
+    pred[succ[rows, moves], moves] = rows
+    return pred
+
+
+def _step_probability_matrix(states: StateSpace, kernel: Kernel) -> sp.csr_matrix:
+    """CSR matrix of free-walk step probabilities between chamber states."""
+    return _csr_step(*_successor_table(states, kernel))
 
 
 def predecessor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -206,10 +220,14 @@ def predecessor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, n
     A backward draw for the state at t + 1 then weighs M candidates
     instead of all S states."""
     succ, probs = _successor_table(states, kernel)
-    pred = np.full_like(succ, -1)
-    rows, moves = np.nonzero(succ >= 0)
-    pred[succ[rows, moves], moves] = rows
-    return pred, probs
+    return _predecessors(succ), probs
+
+
+def transfer_tables(states: StateSpace, kernel: Kernel) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The CSR step-probability matrix, the predecessor table and the move
+    probabilities, all from one successor table."""
+    succ, probs = _successor_table(states, kernel)
+    return _csr_step(succ, probs), _predecessors(succ), probs
 
 
 def _log_rows(mat: sp.csr_matrix, rows, log_v: np.ndarray) -> np.ndarray:
@@ -315,6 +333,7 @@ class TransferResult:
     forward: np.ndarray
     backward: np.ndarray
     cutoff_warning: bool
+    predecessors: tuple[np.ndarray, np.ndarray] | None = None  # (pred, probs), kept when asked for
 
     def col(self, t: int) -> int:
         return self.spec.col(t)
@@ -337,8 +356,12 @@ def _compute_messages(
     kernel: Kernel,
     states: StateSpace,
     log_tilt: np.ndarray,
+    predecessors: bool = False,
 ) -> TransferResult:
-    mat = _step_probability_matrix(states, kernel)
+    if predecessors:
+        mat, pred, probs = transfer_tables(states, kernel)
+    else:
+        mat = _step_probability_matrix(states, kernel)
     mat_t = mat.T.tocsr()
     step = TransferStep(states=states, matrix=mat, log_tilt=log_tilt)
     w = spec.width
@@ -414,11 +437,16 @@ def _compute_messages(
         forward=forward,
         backward=backward,
         cutoff_warning=cutoff,
+        predecessors=(pred, probs) if predecessors else None,
     )
 
 
-def ensemble_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec) -> TransferResult:
-    """Forward-backward messages for either boundary mode.
+def ensemble_messages(
+    spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec, predecessors: bool = False
+) -> TransferResult:
+    """Forward-backward messages for either boundary mode; with
+    ``predecessors`` the result also keeps the sampling table, built from
+    the step's own successor table.
 
     Raises ParityInfeasible for periodicity-infeasible bridges and emits
     CutoffDominatedWarning when mass accumulates near the height cutoff.
@@ -426,7 +454,7 @@ def ensemble_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec) -> Tra
     if isinstance(spec.boundary, Bridge):
         _bridge_parity_check(spec, kernel)
     states = enumerate_states(spec.n, spec.x_max)
-    res = _compute_messages(spec, kernel, states, tilt_log_vector(states, tilt))
+    res = _compute_messages(spec, kernel, states, tilt_log_vector(states, tilt), predecessors)
     if res.cutoff_warning:
         warnings.warn(
             f"mass within {CUTOFF_NEAR} of x_max={spec.x_max} exceeds {CUTOFF_MASS_TOL:g} of total",
@@ -497,35 +525,55 @@ def law_restricted(
 
 def law_from_messages(res: TransferResult, times: Sequence[int]) -> Distribution:
     times = [int(t) for t in times]
+    left, right = res.forward[res.col(times[0])], res.backward[res.col(times[-1])]
     return Distribution(
         space=product_space_key(res.states, times),
-        log_weights=_log_joint(res, times).ravel(),
+        log_weights=_log_joint(res.step, times, left, right).ravel(),
         meta={"states": res.states, "times": tuple(times)},
     )
 
 
-def _log_joint(res: TransferResult, times: Sequence[int]) -> np.ndarray:
-    """Unnormalized (S,) * k log law of the columns at the sorted times,
-    built one step of the CSR operator at a time: a requested column keeps
-    its axis and the step's nonzeros scatter into a new one; any other
-    column is summed out over the transpose's rows.  Its largest array is
-    the S^k law, or the (..., S, K) table of a summed-out column."""
-    s = res.states.size
+def _log_joint(
+    step: TransferStep,
+    times: Sequence[int],
+    left: np.ndarray,
+    right: np.ndarray,
+    span: tuple[int, int] | None = None,
+) -> np.ndarray:
+    """Unnormalized (S,) * k log law of the columns at the sorted times on
+    the chain over ``span`` (default: the first and last time) whose first
+    column carries the log weights ``left`` and whose last carries
+    ``right``.  An end outside ``times`` is folded into the nearest kept
+    column by exact log-space steps, so it costs no axis; with no kept
+    column the result is the chain's 0-d log mass.  The law is built one
+    step of the CSR operator at a time: a kept column keeps its axis and
+    the step's nonzeros scatter into a new one; any other column is
+    summed out over the transpose's rows.  Its largest array is the S^k
+    law, or the (..., S, K) table of a summed-out column."""
+    s = step.states.size
     if s ** len(times) > state_budget():
         raise TooLarge(f"product law with {s}^{len(times)} entries exceeds budget {state_budget():g}")
-    mat, log_tilt = res.step.matrix, res.step.log_tilt
+    lo, hi = (times[0], times[-1]) if span is None else span
+    first, last = (times[0], times[-1]) if len(times) else (hi, hi)
+    mat, log_tilt = step.matrix, step.log_tilt
+    mat_t = mat.T.tocsr()
+    joint = left
+    for _ in range(lo, first):
+        joint = _log_rows(mat_t, slice(None), joint + log_tilt)
+    for _ in range(last, hi):
+        right = log_tilt + _log_rows(mat, slice(None), right)
+    if not len(times):
+        return la.logsumexp(joint + right)
     src = np.repeat(np.arange(s), np.diff(mat.indptr))
     log_step = np.log(mat.data) + log_tilt[src]
-    mat_t = mat.T.tocsr()
-    joint = res.forward[res.col(times[0])]
-    for t in range(times[0], times[-1]):
+    for t in range(first, last):
         if t in times:
             nxt = np.full(joint.shape + (s,), NEG_INF)
             nxt[..., src, mat.indices] = joint[..., src] + log_step
             joint = nxt
         else:
             joint = _log_rows(mat_t, slice(None), joint + log_tilt)
-    return joint + res.backward[res.col(times[-1])]
+    return joint + right
 
 
 def marginalize_product(dist: Distribution, keep_times: Sequence[int]) -> Distribution:
@@ -577,16 +625,22 @@ def conditional_bridge_law(
     i_k = states.id_of(endpoints[0])
     i_l = states.id_of(endpoints[1])
 
-    # (a) condition the global joint law at times {K..L} on the endpoints;
-    # the pair's mass is the sum over this slice
-    conditioned = _log_joint(res, range(K, L + 1))[i_k][..., i_l]
+    # (a) condition the global joint law on the endpoints: the chain over
+    # {K..L} starts from the forward weight of the one state at K and ends
+    # on the backward weight of the one state at L, so it is the interior
+    # law times the pair's mass
+    interior = tuple(range(K + 1, L))
+    left = np.full(states.size, NEG_INF)
+    left[i_k] = res.forward[res.col(K), i_k]
+    right = np.full(states.size, NEG_INF)
+    right[i_l] = res.backward[res.col(L), i_l]
+    conditioned = _log_joint(res.step, interior, left, right, span=(K, L))
     pair_log_mass = la.logsumexp(conditioned)
     if not np.isfinite(res.log_z) or pair_log_mass - res.log_z < math.log(1e-300):
         raise ZeroProbabilityEndpoint(
             f"conditioning on X({K})={tuple(endpoints[0])}, X({L})={tuple(endpoints[1])} has no mass"
         )
 
-    interior = tuple(range(K + 1, L))
     if not interior:
         trivial = Distribution(
             space=product_space_key(states, ()),
@@ -669,9 +723,10 @@ def sample_draws(spec: EnsembleSpec) -> int:
     return spec.width - 2 + isinstance(spec.boundary, Walk)
 
 
-def sample_heights(res: TransferResult, kernel: Kernel, us: np.ndarray) -> np.ndarray:
+def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     """(R, n, width) heights of R exact draws from the ensemble behind
-    ``res``, one per row of the (R, sample_draws) uniforms ``us``."""
+    ``res``, one per row of the (R, sample_draws) uniforms ``us``; ``res``
+    must keep its predecessor table."""
     spec, states = res.spec, res.states
     if not np.isfinite(res.log_z):
         raise ValueError("ensemble has zero total mass; nothing to sample")
@@ -679,7 +734,7 @@ def sample_heights(res: TransferResult, kernel: Kernel, us: np.ndarray) -> np.nd
     g[:-1] += res.step.log_tilt
     top = g.max(axis=1, keepdims=True)
     fwd = np.exp(g - np.where(np.isfinite(top), top, 0.0))[:, None, :]
-    pred, probs = predecessor_table(states, kernel)
+    pred, probs = res.predecessors
     last = states.id_of(spec.boundary.v) if isinstance(spec.boundary, Bridge) else None
     ids = ffbs(pred, probs, fwd, states.id_of(spec.boundary.u), last, us)
     return np.ascontiguousarray(states.arr[ids].transpose(1, 2, 0))
@@ -703,8 +758,8 @@ def exact_sample(
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
-    res = ensemble_messages(spec, kernel, tilt)
+    res = ensemble_messages(spec, kernel, tilt, predecessors=True)
     k = sample_draws(spec)
     children = np.random.SeedSequence(seed).spawn(count)
     us = np.array([np.random.default_rng(c).random(k) for c in children])
-    return [PathConfig(heights=h, spec=spec) for h in sample_heights(res, kernel, us)]
+    return [PathConfig(heights=h, spec=spec) for h in sample_heights(res, us)]

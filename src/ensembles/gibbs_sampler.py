@@ -91,9 +91,9 @@ class ChainDiagnostics:
 def _local_transfer(n: int, x_loc: int, kernel: Kernel, tilt: TiltSpec | None):
     states = ee.enumerate_states(n, x_loc)
     # transposed sparse operator: the batched forward pass is O(nnz), not O(S^2)
-    mat_t = sp.csr_matrix(ee._step_probability_matrix(states, kernel).T)
+    mat, pred, probs = ee.transfer_tables(states, kernel)
+    mat_t = sp.csr_matrix(mat.T)
     log_tilt = np.zeros(states.size) if tilt is None else ee.tilt_log_vector(states, tilt)
-    pred, probs = ee.predecessor_table(states, kernel)
     to, move = np.nonzero(pred >= 0)
     # largest change of the log tilt along one step
     tilt_step = float(np.abs(log_tilt[pred[to, move]] - log_tilt[to]).max()) if to.size else 0.0
@@ -235,7 +235,9 @@ def _untilted_messages(spec: EnsembleSpec, kernel: Kernel) -> ee.TransferResult:
     x_init = min(spec.x_max, max(tops) + 2 * spec.n + 8)
     while True:
         states = ee.enumerate_states(spec.n, x_init)
-        res = ee._compute_messages(replace(spec, x_max=x_init), kernel, states, np.zeros(states.size))
+        res = ee._compute_messages(
+            replace(spec, x_max=x_init), kernel, states, np.zeros(states.size), predecessors=True
+        )
         if np.isfinite(res.log_z):
             return res
         if x_init >= spec.x_max:
@@ -248,7 +250,7 @@ def _init_heights(spec: EnsembleSpec, kernel: Kernel, gens: Sequence[np.random.G
     ensemble, one batched draw with one generator per chain."""
     res = _untilted_messages(spec, kernel)
     k = ee.sample_draws(spec)
-    return ee.sample_heights(res, kernel, np.array([g.random(k) for g in gens]))
+    return ee.sample_heights(res, np.array([g.random(k) for g in gens]))
 
 
 def init_config(spec: EnsembleSpec, kernel: Kernel, rng: np.random.Generator | None = None) -> PathConfig:

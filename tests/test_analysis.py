@@ -50,6 +50,40 @@ class TestMixingCurve:
         assert tvs[-1] < tvs[0]
 
 
+    @staticmethod
+    def full_window_tv(n, kernel, tilt, t, k, u, w, mode, x_max, delta):
+        """TV of the two ensembles' laws on the whole window {-t..t}."""
+        laws = []
+        for half, bdry in ((k + t, u), (k + t + delta, w)):
+            boundary = mc.Bridge(u=bdry, v=bdry) if mode == "bridge" else mc.Walk(u=bdry)
+            spec = mc.EnsembleSpec(n=n, m_left=-half, n_right=half, boundary=boundary, x_max=x_max)
+            laws.append(ee.law_restricted(spec, kernel, tilt, range(-t, t + 1)))
+        return ee.tv_exact(*laws)
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @pytest.mark.parametrize("mode", ["walk", "bridge"])
+    @pytest.mark.parametrize("n,u,w,x_max", [(1, (1,), (3,), 9), (2, (2, 1), (4, 2), 7)])
+    def test_end_column_tv_equals_full_window_tv(self, lazy, mode, n, u, w, x_max):
+        tilt = tilt_of(lam=0.5)
+        for t in (0, 1, 2):
+            for delta in (0, 1):
+                rep = an.mixing_curve(
+                    n, lazy, tilt, t, [1, 2, 3], u, w, mode=mode, x_max=x_max, window_delta=delta
+                )
+                for k, tv in rep.points:
+                    ref = self.full_window_tv(n, lazy, tilt, t, k, u, w, mode, x_max, delta)
+                    assert tv == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    def test_wide_window_never_builds_its_full_law(self, unit):
+        # S = 45: the window {-2..2} holds 45^5 > 5e7 entries, its ends 45^2
+        rep = an.mixing_curve(
+            2, unit, tilt_of(lam=0.5), 2, [1, 2, 3], (3, 1), (5, 2), mode="bridge", x_max=10
+        )
+        tvs = [tv for _, tv in rep.points]
+        assert all(0.0 < b < a for a, b in zip(tvs, tvs[1:]))
+
+
 class TestInvariance:
     def test_restriction_beyond_window_rejected(self, unit):
         with pytest.raises(ValueError):
@@ -224,6 +258,19 @@ class TestSlope:
             assert all(np.isfinite(d) for d in rep.second_diffs)
             slopes[n] = rep.slope
         assert slopes[2] <= slopes[1]
+
+    @pytest.mark.parametrize("n,w", [(1, (1.0,)), (2, (1.5, 0.7))])
+    def test_one_pass_equals_per_window_passes(self, unit, n, w):
+        tilt = tilt_of(lam=0.5)
+        rep = an.log_partition_slope(n, w, unit, tilt, [4.0, 8.0, 16.0, 32.0], eta=2.0)
+        scale = mc.h_scale(tilt.potential)
+        u = an.snap_lattice_chamber(w, scale.h_big)
+        x_max = mc.default_x_max(0.5, u[0])
+        for t_cont, (t_real, log_z) in zip([4.0, 8.0, 16.0, 32.0], rep.points):
+            half = max(int(round(scale.h_big**2 * t_cont)), 1)
+            spec = mc.EnsembleSpec(n=n, m_left=0, n_right=2 * half, boundary=mc.Walk(u=u), x_max=x_max)
+            assert t_real == half * scale.h_small**2
+            assert log_z == ee.partition_walk(spec, unit, tilt).log_z
 
     def test_boundary_above_eta_rejected(self, unit):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ensembles._linalg as la
 from ensembles import brownian_oracle as bo
@@ -226,6 +228,120 @@ class TestHalfPasses:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestMirroredHalfPass:
+    """Equal one-hot ends (ZeroBC, Fixed(u, u)) run one half pass and
+    mirror it; every other boundary keeps the two-pass route."""
+
+    @staticmethod
+    def two_pass(n, a, b, grid, boundary, j):
+        states, g = bo._killed_step(n, grid.n_sites)
+        tilt = np.exp(bo._tilt_log_vector(states, a, b, grid.dx))
+        f0, bT, _ = bo._boundary_vectors(n, grid, boundary, states.size, states)
+        fwd = bo._scaled_pass(lambda v: g(v * tilt), f0, j)
+        bwd = bo._scaled_pass(lambda v: g(v) * tilt, bT, grid.n_steps - j)
+        return fwd, bwd
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("boundary", [bo.ZeroBC(), bo.Fixed(u=(1.5, 0.5), v=(1.5, 0.5))], ids=["zero", "fixed"])
+    @pytest.mark.parametrize(
+        "steps,t,j",  # round() sends 8.5 to 8 and 9.5 to 10: j below and above steps - j at t = 0
+        [(17, 0.0, 8), (19, 0.0, 10), (17, -0.25, 4), (17, 0.25, 12), (19, -0.5, 2), (19, 0.5, 18)],
+    )
+    def test_match_two_pass_reference(self, n, boundary, steps, t, j):
+        if isinstance(boundary, bo.Fixed):
+            boundary = bo.Fixed(u=boundary.u[:n], v=boundary.v[:n])
+        grid = bo.GridSpec(dx=0.25, height_cap=4.0, m_half=steps * 0.0625 / 2)
+        assert grid.n_steps == steps and bo._time_index(grid, t) == j
+        fwd, bwd = self.two_pass(n, 1.0, 2.0, grid, boundary, j)
+        _, f, bk = bo._polymer_messages(n, 1.0, 2.0, grid, boundary, j)
+        for got, ref in ((f, fwd), (bk, bwd)):
+            assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+            assert np.abs(normalized(got) - normalized(ref)).max() < 1e-12
+            assert la.logsumexp(got) == pytest.approx(la.logsumexp(ref), rel=1e-12)
+        law = bo.polymer_marginal(n, 1.0, 2.0, grid, boundary, t)
+        assert np.abs(law.probs - normalized(fwd + bwd)).max() < 1e-12
+
+    def test_distinct_ends_run_two_passes(self, monkeypatch):
+        grid = bo.GridSpec(dx=0.25, height_cap=4.0, m_half=17 * 0.0625 / 2)
+        steps = []
+        scaled = bo._scaled_pass
+        monkeypatch.setattr(bo, "_scaled_pass", lambda step, v, k: steps.append(k) or scaled(step, v, k))
+        for boundary in (bo.FreeBoth(), bo.Fixed(u=(1.5,), v=(1.0,)), bo.ZeroBC()):
+            steps.clear()
+            bo._polymer_messages(1, 1.0, 2.0, grid, boundary, 5)
+            assert sum(steps) == (17 if not isinstance(boundary, bo.ZeroBC) else 12)
+
+
+@st.composite
+def steep_polymer_cases(draw):
+    """Steep tilts over tall caps on a coarse grid: one step's log tilt
+    spans up to a * dx^2 * cap * (1 + b), hundreds of nats, so the scaled
+    passes flush most of each message."""
+    n = draw(st.integers(1, 2))
+    dx = draw(st.sampled_from([0.25, 0.5])) if n == 1 else 0.5
+    cap = draw(st.floats(6.0, 12.0))
+    steps = draw(st.integers(2, 30))
+    grid = bo.GridSpec(dx=dx, height_cap=cap, m_half=steps * dx * dx / 2)
+    point = st.lists(st.floats(dx, 0.9 * cap), min_size=n, max_size=n)
+    u, v = tuple(draw(point)), tuple(draw(point))
+    boundary = draw(
+        st.sampled_from([bo.ZeroBC(), bo.Fixed(u=u, v=u), bo.Fixed(u=u, v=v), bo.Fixed(u=u), bo.FreeRight()])
+    )
+    a, b = draw(st.floats(30.0, 300.0)), draw(st.floats(1.1, 3.0))
+    return n, a, b, grid, boundary, draw(st.integers(0, grid.n_steps))
+
+
+class TestSteepHalfPasses:
+    @staticmethod
+    def log_space_messages(n, a, b, grid, boundary, j):
+        """Forward and backward messages at step j summed in exact log space."""
+        states, g = applied_matrix(n, grid.n_sites)
+        with np.errstate(divide="ignore"):
+            log_g = np.log(g)
+        lt = bo._tilt_log_vector(states, a, b, grid.dx)
+        fwd, bwd, _ = bo._boundary_vectors(n, grid, boundary, states.size, states)
+        for _ in range(j):
+            fwd = la.logsumexp(log_g + (fwd + lt)[:, None], axis=0)
+        for _ in range(grid.n_steps - j):
+            bwd = lt + la.logsumexp(log_g + bwd[None, :], axis=1)
+        return fwd, bwd
+
+    @staticmethod
+    def check(case, ref_f, ref_b):
+        _, f, bk = bo._polymer_messages(*case)
+        for got, ref in ((f, ref_f), (bk, ref_b)):
+            # a scaled pass keeps every entry within ~708 nats of the top at
+            # full precision; those beyond may be subnormal or dropped
+            normal = ref > ref.max() - 700.0
+            assert np.abs(got[normal] - ref[normal]).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        # no state that holds mass in the marginal was among them
+        p, p_ref = normalized(f + bk), normalized(ref_f + ref_b)
+        assert np.abs(p - p_ref).max() < 1e-12
+        held = p_ref > 1e-200
+        assert np.abs(p[held] / p_ref[held] - 1.0).max() < 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(steep_polymer_cases())
+    def test_no_mass_lost_at_steep_tilt(self, case):
+        ref_f, ref_b = self.log_space_messages(*case)
+        assume(np.isfinite(np.max(ref_f + ref_b)))  # the ends can meet
+        self.check(case, ref_f, ref_b)
+
+    @pytest.mark.parametrize(
+        "n,a,b,grid,boundary,j",
+        [
+            # the marginal of a high bridge lives where the backward pass flushed
+            (1, 242.0, 2.0, bo.GridSpec(0.5, 9.25, 3.625), bo.Fixed(u=(8.25,), v=(8.25,)), 1),
+            # the free end's backward pass flushes every state the forward reaches
+            (2, 241.0, 2.95, bo.GridSpec(0.5, 11.75, 6.75), bo.Fixed(u=(9.75, 3.75)), 5),
+        ],
+        ids=["bridge_high", "walk_high"],
+    )
+    def test_flushed_messages_redone(self, n, a, b, grid, boundary, j):
+        case = (n, a, b, grid, boundary, j)
+        self.check(case, *self.log_space_messages(*case))
 
 
 class TestZeroBcExtrapolate:

@@ -1,12 +1,24 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ensembles
 from ensembles import brownian_oracle as bo
 from ensembles import cli_io as cio
 from ensembles import exact_engine as ee
+
+# child interpreters import the package this process imported, also when
+# pytest put it on the path itself
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(ensembles.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 EXACT_CFG = """\
 experiment = exact
@@ -36,6 +48,34 @@ mixing.k_list = 1,2,3
 mixing.u = 1
 mixing.w = 3
 mixing.mode = both
+"""
+
+SWEEP_MIXING_CFG = """\
+experiment = mixing
+kernel.preset = unit
+model.n = 2
+model.a = 1.0
+model.b = 2.0
+model.lambda = 0.5
+engine.x_max = 16
+mixing.t_lattice = 2
+mixing.k_list = 1,2,3,4
+mixing.u = 3,1
+mixing.w = 5,2
+mixing.mode = both
+mixing.window_delta = 1
+"""
+
+SLOPE_CFG = """\
+experiment = slope
+kernel.preset = unit
+model.n = 2
+model.a = 1.0
+model.b = 2.0
+model.lambda = 0.5
+slope.t_list = 2,4,8
+slope.w = 1.5,0.7
+slope.eta = 2.0
 """
 
 CONVERGE_CFG = """\
@@ -198,6 +238,22 @@ class TestRun:
             outs.append((blob, json.dumps(env, sort_keys=True)))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("text", [SWEEP_MIXING_CFG, SLOPE_CFG], ids=["mixing", "slope"])
+    def test_sweeps_identical_across_threads(self, tmp_path, text):
+        # the mixing K points share one window kernel, the slope T points one pass
+        cfg = cio.parse_config(text)
+        outs = []
+        for name, threads in (("a", 1), ("b", 2)):
+            cio.run(cfg, tmp_path / name, threads=threads)
+            blob = b""
+            for f in sorted((tmp_path / name).glob("*.csv")):
+                blob += f.name.encode() + f.read_bytes()
+            env = json.loads((tmp_path / name / "results.json").read_text())
+            env.pop("timings")
+            env.pop("threads")
+            outs.append((blob, json.dumps(env, sort_keys=True)))
+        assert outs[0] == outs[1]
+
     def test_oversized_oracle_fails_before_eigensolve(self, tmp_path, monkeypatch):
         # polymer passes of 380^2 cells x 13 taps x 2 axes x 400 steps = 1.5e9 > 1e9
         def unreachable(*args, **kwargs):
@@ -282,7 +338,7 @@ slope.eta = 2.0
             "import sys, ensembles.cli_io; "
             "print(sorted(m for m in ('scipy.ndimage', 'scipy.sparse.linalg') if m in sys.modules))"
         )
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
 
@@ -292,5 +348,6 @@ slope.eta = 2.0
             [sys.executable, "-m", "ensembles.cli_io", "exact", "--config", str(p), "--out", str(tmp_path / "o")],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert r.returncode == 0

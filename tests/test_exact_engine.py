@@ -100,6 +100,28 @@ class TestStepMatrix:
             tracemalloc.stop()
         assert peak < 1.5 * succ.nbytes
 
+    def test_successor_table_built_once_per_sampler(self, unit, monkeypatch):
+        from ensembles import gibbs_sampler as gs
+
+        calls = []
+        table = ee._successor_table
+
+        def counted(states, kernel):
+            calls.append(states.size)
+            return table(states, kernel)
+
+        monkeypatch.setattr(ee, "_successor_table", counted)
+        spec = bridge_spec(2, 0, 6, (3, 1), (3, 1), x_max=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ee.CutoffDominatedWarning)
+            ee.exact_sample(spec, unit, tilt_of(), seed=3, count=5)
+        assert len(calls) == 1
+        gs._local_transfer.cache_clear()
+        gs._local_transfer(2, 9, unit, tilt_of())
+        assert len(calls) == 2
+        gs._init_heights(spec, unit, [np.random.default_rng(0)])
+        assert len(calls) == 3
+
     def test_rarest_product_move_raises_instead_of_vanishing(self):
         # a product of two 1e-200 moves is 1e-400, below the smallest double
         kernel = mc.make_kernel((-1, 0, 1), (1e-200, 1 - 2e-200, 1e-200))
@@ -419,6 +441,27 @@ class TestConditionalBridgeLaw:
         spec = bridge_spec(1, 0, 4, (2,), (2,), x_max=7)
         with pytest.raises(ee.ZeroProbabilityEndpoint):
             ee.conditional_bridge_law(spec, lazy, tilt_of(), 1, 3, ((2,), (7,)))
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    def test_budget_counts_interior_law_only(self, unit, monkeypatch):
+        # S = 28: the interior law on {1, 2} has 28^2 entries, the window
+        # {0..3} with its two ends 28^4, above the budget
+        monkeypatch.setenv("ENSEMBLES_BUDGET", "100000")
+        spec = bridge_spec(2, 0, 6, (2, 1), (2, 1), x_max=8)
+        tilt = tilt_of(lam=0.5)
+        ends = ((2, 1), (3, 1))
+        res = ee.conditional_bridge_law(spec, unit, tilt, 0, 3, ends)
+        states = res.law.meta["states"]
+        s = states.size
+        assert s**2 <= 100000 < s**4
+        # given its ends, the window is the bridge between them (the route
+        # from the global law must agree with it)
+        sub = bridge_spec(2, 0, 3, *ends, x_max=8)
+        expected = np.zeros((s, s))
+        for (c1, c2), p in brute_law(sub, unit, 1.0, 2.0, 0.5, [1, 2]).items():
+            expected[states.id_of(c1), states.id_of(c2)] = p
+        assert np.abs(res.law.probs - expected.ravel()).max() <= 1e-12
+        assert res.diagnostic_tv <= 1e-10
 
     def test_gibbs_diagnostic_on_random_instances(self, lazy, unit):
         from conftest import random_admissible_path
