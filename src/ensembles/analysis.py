@@ -217,6 +217,7 @@ def invariance_check(
     dx: float = 0.05,
     t_restrict: float = 0.0,
     height_cap: float | None = None,
+    threads: int = 1,
 ) -> InvarianceReport:
     """Sup-CDF distance between the rescaled exact one-time marginal of the
     top curve at t = 0 and the Brownian-polymer marginal, per lambda.
@@ -226,7 +227,8 @@ def invariance_check(
     and window the lattice actually realizes (the snapped u_N and M_N,
     which converge to u and m_cont).  Kernel variance sigma^2 != 1 is
     corrected by scaling space by sigma (equivalently, the oracle runs at
-    tilt a*sigma in y = x/sigma coordinates)."""
+    tilt a*sigma in y = x/sigma coordinates).  The lambda points are
+    mapped over ``threads``."""
     if boundary not in ("walk", "bridge"):
         raise ValueError("boundary must be 'walk' or 'bridge'")
     if t_restrict > m_cont:
@@ -238,8 +240,7 @@ def invariance_check(
     if height_cap is None:
         height_cap = bo.default_height_cap(a_eff, n) + max(u_cont) / sigma
 
-    pts = []
-    for lam in lambda_list:
+    def point(lam):
         pot = linear_potential(lam)
         tilt = TiltSpec(a=a, b=b, potential=pot)
         scale = h_scale(pot)
@@ -261,7 +262,9 @@ def invariance_check(
         o_vals = o_sites * grid.dx * sigma
 
         width = max(scale.h_small, grid.dx * sigma)
-        pts.append((float(lam), binned_sup_cdf(vals, pmf, o_vals, o_pmf, width)))
+        return float(lam), binned_sup_cdf(vals, pmf, o_vals, o_pmf, width)
+
+    pts = pmap(point, list(lambda_list), threads)
     return InvarianceReport(points=tuple(pts), boundary=boundary, m_cont=m_cont)
 
 
@@ -286,10 +289,12 @@ def convergence_to_mu(
     dx: float = 0.05,
     height_cap: float | None = None,
     u_top: int | None = None,
+    threads: int = 1,
 ) -> ConvergenceReport:
     """Binned TV between the rescaled top-curve marginal at t = 0 and the
     stationary density of the polymer oracle, along a lambda sequence with
-    lattice half-width N = a_rule(lambda) (default: round(1/lambda))."""
+    lattice half-width N = a_rule(lambda) (default: round(1/lambda)).  The
+    target is solved once; the lambda points are mapped over ``threads``."""
     if boundary_mode == "both":
         modes = ("walk", "bridge")
     elif boundary_mode in ("walk", "bridge"):
@@ -309,8 +314,8 @@ def convergence_to_mu(
 
     top = u_top if u_top is not None else n
     u = tuple(range(top, top - n, -1))
-    pts = []
-    for lam in lambda_list:
+
+    def point(lam):
         half = a_rule(lam)
         pot = linear_potential(lam)
         tilt = TiltSpec(a=tilt_a, b=tilt_b, potential=pot)
@@ -325,7 +330,9 @@ def convergence_to_mu(
             sites, pmf = bo.top_curve_pmf(marg)
             vals = sites * scale.h_small
             entry[mode] = binned_tv(vals, pmf, t_vals, t_pmf, width)
-        pts.append((float(lam), entry))
+        return float(lam), entry
+
+    pts = pmap(point, list(lambda_list), threads)
     return ConvergenceReport(points=tuple(pts), modes=modes)
 
 

@@ -244,30 +244,30 @@ def _min_state(n: int) -> tuple[int, ...]:
 
 
 def _boundary_vectors(
-    n: int, grid: GridSpec, boundary: BoundaryMode, size: int, states: ee.StateSpace
-) -> tuple[np.ndarray, np.ndarray, str]:
+    n: int, grid: GridSpec, boundary: BoundaryMode, states: ee.StateSpace
+) -> tuple[np.ndarray, np.ndarray]:
     log_free = n * math.log(grid.dx)
-    f0 = np.full(size, NEG_INF)
-    bT = np.full(size, NEG_INF)
+    f0 = np.full(states.size, NEG_INF)
+    bT = np.full(states.size, NEG_INF)
     if isinstance(boundary, ZeroBC):
         f0[states.id_of(_min_state(n))] = 0.0
         bT[states.id_of(_min_state(n))] = 0.0
-        return f0, bT, "zero_bc"
+        return f0, bT
     if isinstance(boundary, FreeRight):
         f0[states.id_of(_min_state(n))] = 0.0
         bT[:] = log_free
-        return f0, bT, "free_right"
+        return f0, bT
     if isinstance(boundary, FreeBoth):
         f0[:] = log_free
         bT[:] = log_free
-        return f0, bT, "free_both"
+        return f0, bT
     if isinstance(boundary, Fixed):
         f0[states.id_of(snap_to_chamber(boundary.u, grid.dx, grid.n_sites))] = 0.0
         if boundary.v is None:
             bT[:] = log_free
         else:
             bT[states.id_of(snap_to_chamber(boundary.v, grid.dx, grid.n_sites))] = 0.0
-        return f0, bT, "fixed"
+        return f0, bT
     raise TypeError(f"unknown boundary mode {boundary!r}")
 
 
@@ -318,7 +318,7 @@ def _polymer_messages(
     log_tilt = _tilt_log_vector(states, a, b, grid.dx)
     top = log_tilt.max()  # factored out, so the tilt cannot underflow as a whole
     tilt = np.exp(log_tilt - top)
-    f0, bT, _ = _boundary_vectors(n, grid, boundary, states.size, states)
+    f0, bT = _boundary_vectors(n, grid, boundary, states)
 
     def forward(log_v, steps):
         return _scaled_pass(lambda v: g(v * tilt), log_v, steps) + steps * top

@@ -492,44 +492,31 @@ def _run_mixing(cfg: RunConfig, threads: int, seed: int):
 
 
 def _run_invariance(cfg: RunConfig, threads: int, seed: int):
-    kernel = build_kernel(cfg)
-    lams = list(cfg["invariance.lambda_list"])
-
-    def point(lam):
-        rep = an.invariance_check(
-            cfg["model.n"], cfg["invariance.m_cont"], [lam], kernel,
-            cfg["model.a"], cfg["model.b"],
-            boundary=cfg["invariance.boundary"], u_cont=cfg["invariance.u"],
-            dx=cfg["oracle.dx"],
-            height_cap=cfg["oracle.height_cap"] or None,
-        )
-        return rep.points[0]
-
-    pts = an.pmap(point, lams, threads)
+    rep = an.invariance_check(
+        cfg["model.n"], cfg["invariance.m_cont"], list(cfg["invariance.lambda_list"]),
+        build_kernel(cfg), cfg["model.a"], cfg["model.b"],
+        boundary=cfg["invariance.boundary"], u_cont=cfg["invariance.u"],
+        dx=cfg["oracle.dx"],
+        height_cap=cfg["oracle.height_cap"] or None,
+        threads=threads,
+    )
     header = ["lambda", "sup_cdf_dist"]
     payload = {"boundary": cfg["invariance.boundary"], "m_cont": cfg["invariance.m_cont"]}
-    return payload, {"invariance": (header, list(pts))}, None
+    return payload, {"invariance": (header, list(rep.points))}, None
 
 
 def _run_converge(cfg: RunConfig, threads: int, seed: int):
-    kernel = build_kernel(cfg)
-    lams = list(cfg["converge.lambda_list"])
-    mode = cfg["converge.mode"]
-
-    def point(lam):
-        rep = an.convergence_to_mu(
-            cfg["model.n"], [lam], None, kernel, cfg["model.a"], cfg["model.b"],
-            boundary_mode=mode, dx=cfg["oracle.dx"],
-            height_cap=cfg["oracle.height_cap"] or None,
-            u_top=cfg["converge.u_top"],
-        )
-        return rep.points[0]
-
-    pts = an.pmap(point, lams, threads)
-    modes = ("walk", "bridge") if mode == "both" else (mode,)
-    header = ["lambda"] + [f"tv_{m}" for m in modes]
-    rows = [(lam,) + tuple(entry[m] for m in modes) for lam, entry in pts]
-    return {"modes": list(modes)}, {"converge": (header, rows)}, None
+    rep = an.convergence_to_mu(
+        cfg["model.n"], list(cfg["converge.lambda_list"]), None, build_kernel(cfg),
+        cfg["model.a"], cfg["model.b"],
+        boundary_mode=cfg["converge.mode"], dx=cfg["oracle.dx"],
+        height_cap=cfg["oracle.height_cap"] or None,
+        u_top=cfg["converge.u_top"],
+        threads=threads,
+    )
+    header = ["lambda"] + [f"tv_{m}" for m in rep.modes]
+    rows = [(lam,) + tuple(entry[m] for m in rep.modes) for lam, entry in rep.points]
+    return {"modes": list(rep.modes)}, {"converge": (header, rows)}, None
 
 
 def _run_dominance(cfg: RunConfig, threads: int, seed: int):

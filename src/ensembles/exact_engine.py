@@ -5,8 +5,10 @@ Partition values, marginals, restricted joint laws and conditional
 bridge laws run in log space; zero mass is an explicit -inf, never an
 underflowed float.  Exact sampling is forward filtering / backward
 sampling: one batched draw per time step for all samples, each weighing
-at most M = |offsets|^n candidates from a predecessor table, with one
-spawned random stream per sample.
+the candidates of one row of the step's CSR transpose ``matrix_t`` (at
+most |offsets|^n), with one spawned random stream per sample.
+``TransferStep`` is the one chamber operator: messages, product laws
+and both samplers step its matrix or that transpose, built once.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -198,38 +201,6 @@ def _csr_step(succ: np.ndarray, probs: np.ndarray) -> sp.csr_matrix:
     return mat
 
 
-def _predecessors(succ: np.ndarray) -> np.ndarray:
-    """(S, M) id of the state each product move comes from, -1 where that
-    state is outside the chamber, from a successor table; the candidates
-    of a target stay in move order."""
-    pred = np.full_like(succ, -1)
-    rows, moves = np.nonzero(succ >= 0)
-    pred[succ[rows, moves], moves] = rows
-    return pred
-
-
-def _step_probability_matrix(states: StateSpace, kernel: Kernel) -> sp.csr_matrix:
-    """CSR matrix of free-walk step probabilities between chamber states."""
-    return _csr_step(*_successor_table(states, kernel))
-
-
-def predecessor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """(S, M) id of the state each product move comes from, -1 where that
-    state is outside the chamber, and the M move probabilities.
-
-    A backward draw for the state at t + 1 then weighs M candidates
-    instead of all S states."""
-    succ, probs = _successor_table(states, kernel)
-    return _predecessors(succ), probs
-
-
-def transfer_tables(states: StateSpace, kernel: Kernel) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """The CSR step-probability matrix, the predecessor table and the move
-    probabilities, all from one successor table."""
-    succ, probs = _successor_table(states, kernel)
-    return _csr_step(succ, probs), _predecessors(succ), probs
-
-
 def _log_rows(mat: sp.csr_matrix, rows, log_v: np.ndarray) -> np.ndarray:
     """log (mat @ exp(log_v)) at the selected rows, over the last axis of
     the (..., S) log_v, summed in log space: a message step that no shared
@@ -257,28 +228,52 @@ def tilt_log_vector(states: StateSpace, tilt: TiltSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransferStep:
-    """One-step operator: step probabilities times the source-state tilt.
+    """The chamber operator: step probabilities times the source-state tilt.
 
     The full entry is matrix[s, s'] * exp(log_tilt[s]); keeping the tilt
-    as a log vector means entries never underflow."""
+    as a log vector means entries never underflow.  ``matrix_t``, the
+    CSR transpose, is built once with the step: backward message steps
+    multiply by ``matrix``, forward steps by ``matrix_t``, whose rows are
+    also the samplers' candidates."""
 
     states: StateSpace
     matrix: sp.csr_matrix
     log_tilt: np.ndarray
+    matrix_t: sp.csr_matrix = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix_t", self.matrix.T.tocsr())
 
     def entry(self, s_from: Sequence[int], s_to: Sequence[int]) -> float:
         i = self.states.id_of(s_from)
         j = self.states.id_of(s_to)
         return float(self.matrix[i, j]) * math.exp(self.log_tilt[i])
 
+    @cached_property
+    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, K) ids of the states that step to each state, in descending
+        id order, and (S, K) their step probabilities: the rows of
+        ``matrix_t`` padded to the longest, K, with id -1 and probability
+        0.  A backward draw for the state at t + 1 then weighs K
+        candidates instead of all S states."""
+        mat_t = self.matrix_t
+        counts = np.diff(mat_t.indptr)
+        row = np.repeat(np.arange(counts.size), counts)
+        pos = mat_t.indptr[row + 1] - 1 - np.arange(mat_t.nnz)  # each row reversed
+        shape = (counts.size, max(int(counts.max(initial=0)), 1))
+        pred = np.full(shape, -1, dtype=np.int64)
+        pred[row, pos] = mat_t.indices
+        probs = np.zeros(shape)
+        probs[row, pos] = mat_t.data
+        return pred, probs
 
-def step_matrix(states: StateSpace, kernel: Kernel, tilt: TiltSpec) -> TransferStep:
-    """Build the tilted one-step transfer operator."""
-    return TransferStep(
-        states=states,
-        matrix=_step_probability_matrix(states, kernel),
-        log_tilt=tilt_log_vector(states, tilt),
-    )
+
+def step_matrix(states: StateSpace, kernel: Kernel, tilt: TiltSpec | None = None) -> TransferStep:
+    """Build the tilted one-step transfer operator; without a tilt, the
+    free walk's."""
+    log_tilt = np.zeros(states.size) if tilt is None else tilt_log_vector(states, tilt)
+    matrix = _csr_step(*_successor_table(states, kernel))
+    return TransferStep(states=states, matrix=matrix, log_tilt=log_tilt)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +328,6 @@ class TransferResult:
     forward: np.ndarray
     backward: np.ndarray
     cutoff_warning: bool
-    predecessors: tuple[np.ndarray, np.ndarray] | None = None  # (pred, probs), kept when asked for
 
     def col(self, t: int) -> int:
         return self.spec.col(t)
@@ -351,19 +345,8 @@ def _bridge_parity_check(spec: EnsembleSpec, kernel: Kernel) -> None:
             )
 
 
-def _compute_messages(
-    spec: EnsembleSpec,
-    kernel: Kernel,
-    states: StateSpace,
-    log_tilt: np.ndarray,
-    predecessors: bool = False,
-) -> TransferResult:
-    if predecessors:
-        mat, pred, probs = transfer_tables(states, kernel)
-    else:
-        mat = _step_probability_matrix(states, kernel)
-    mat_t = mat.T.tocsr()
-    step = TransferStep(states=states, matrix=mat, log_tilt=log_tilt)
+def _compute_messages(spec: EnsembleSpec, kernel: Kernel, step: TransferStep) -> TransferResult:
+    states, mat, mat_t, log_tilt = step.states, step.matrix, step.matrix_t, step.log_tilt
     w = spec.width
     s = states.size
     start = states.id_of(spec.boundary.u)
@@ -437,16 +420,11 @@ def _compute_messages(
         forward=forward,
         backward=backward,
         cutoff_warning=cutoff,
-        predecessors=(pred, probs) if predecessors else None,
     )
 
 
-def ensemble_messages(
-    spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec, predecessors: bool = False
-) -> TransferResult:
-    """Forward-backward messages for either boundary mode; with
-    ``predecessors`` the result also keeps the sampling table, built from
-    the step's own successor table.
+def ensemble_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec) -> TransferResult:
+    """Forward-backward messages for either boundary mode.
 
     Raises ParityInfeasible for periodicity-infeasible bridges and emits
     CutoffDominatedWarning when mass accumulates near the height cutoff.
@@ -454,7 +432,7 @@ def ensemble_messages(
     if isinstance(spec.boundary, Bridge):
         _bridge_parity_check(spec, kernel)
     states = enumerate_states(spec.n, spec.x_max)
-    res = _compute_messages(spec, kernel, states, tilt_log_vector(states, tilt), predecessors)
+    res = _compute_messages(spec, kernel, step_matrix(states, kernel, tilt))
     if res.cutoff_warning:
         warnings.warn(
             f"mass within {CUTOFF_NEAR} of x_max={spec.x_max} exceeds {CUTOFF_MASS_TOL:g} of total",
@@ -555,8 +533,7 @@ def _log_joint(
         raise TooLarge(f"product law with {s}^{len(times)} entries exceeds budget {state_budget():g}")
     lo, hi = (times[0], times[-1]) if span is None else span
     first, last = (times[0], times[-1]) if len(times) else (hi, hi)
-    mat, log_tilt = step.matrix, step.log_tilt
-    mat_t = mat.T.tocsr()
+    mat, mat_t, log_tilt = step.matrix, step.matrix_t, step.log_tilt
     joint = left
     for _ in range(lo, first):
         joint = _log_rows(mat_t, slice(None), joint + log_tilt)
@@ -685,15 +662,9 @@ def categorical(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
 
 
-def ffbs(
-    pred: np.ndarray,
-    probs: np.ndarray,
-    fwd: np.ndarray,
-    first,
-    last,
-    us: np.ndarray,
-) -> np.ndarray:
-    """Batched backward sampling (Carter & Kohn 1994) over a predecessor table.
+def ffbs(step: TransferStep, fwd: np.ndarray, first, last, us: np.ndarray) -> np.ndarray:
+    """Batched backward sampling (Carter & Kohn 1994) over the step's
+    predecessor candidates.
 
     ``fwd`` is (T+1, R or 1, S) forward weights in linear space, each row
     scaled freely; a single row is shared by all R draws.  For t < T a
@@ -703,6 +674,7 @@ def ffbs(
     ``us`` is (R, k) uniforms taken column by column: the end when drawn,
     then times T-1 down to 1.  Returns (T+1, R) state ids.
     """
+    pred, probs = step.predecessors
     steps = fwd.shape[0] - 1
     r = us.shape[0]
     cols = iter(us.T)
@@ -712,8 +684,8 @@ def ffbs(
     rows = np.arange(r)
     chain = rows[:, None] if fwd.shape[1] > 1 else 0
     for t in range(steps - 1, 0, -1):
-        cand = pred[ids[t + 1]]  # (R, M); -1 marks a move from outside the chamber
-        w = np.where(cand >= 0, fwd[t][chain, cand], 0.0) * probs
+        cand = pred[ids[t + 1]]  # (R, K); a padding candidate has probability 0
+        w = fwd[t][chain, cand] * probs[ids[t + 1]]
         ids[t] = cand[rows, categorical(w, next(cols))]
     return ids
 
@@ -725,8 +697,7 @@ def sample_draws(spec: EnsembleSpec) -> int:
 
 def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     """(R, n, width) heights of R exact draws from the ensemble behind
-    ``res``, one per row of the (R, sample_draws) uniforms ``us``; ``res``
-    must keep its predecessor table."""
+    ``res``, one per row of the (R, sample_draws) uniforms ``us``."""
     spec, states = res.spec, res.states
     if not np.isfinite(res.log_z):
         raise ValueError("ensemble has zero total mass; nothing to sample")
@@ -734,9 +705,8 @@ def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     g[:-1] += res.step.log_tilt
     top = g.max(axis=1, keepdims=True)
     fwd = np.exp(g - np.where(np.isfinite(top), top, 0.0))[:, None, :]
-    pred, probs = res.predecessors
     last = states.id_of(spec.boundary.v) if isinstance(spec.boundary, Bridge) else None
-    ids = ffbs(pred, probs, fwd, states.id_of(spec.boundary.u), last, us)
+    ids = ffbs(res.step, fwd, states.id_of(spec.boundary.u), last, us)
     return np.ascontiguousarray(states.arr[ids].transpose(1, 2, 0))
 
 
@@ -750,7 +720,7 @@ def exact_sample(
     """i.i.d. exact samples by forward filtering / backward sampling.
 
     All samples are drawn together, one batched backward step per time,
-    each weighing at most M = |offsets|^n predecessor candidates.  Every
+    each weighing at most |offsets|^n predecessor candidates.  Every
     sample consumes its own spawned random stream, so sample i is the
     same for any count > i and results do not depend on batching.
     """
@@ -758,7 +728,7 @@ def exact_sample(
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
-    res = ensemble_messages(spec, kernel, tilt, predecessors=True)
+    res = ensemble_messages(spec, kernel, tilt)
     k = sample_draws(spec)
     children = np.random.SeedSequence(seed).spawn(count)
     us = np.array([np.random.default_rng(c).random(k) for c in children])

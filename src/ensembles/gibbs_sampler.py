@@ -5,8 +5,9 @@ conditional walk) law given the block endpoints, so there is no
 acceptance step to tune.  Chains are vectorized internally: a batch of
 independent chains shares the block schedule while every chain consumes
 its own spawned random stream.  A block redraw is a scaled linear-space
-forward pass for all chains, then one batched backward draw over at most
-M = |offsets|^n predecessor candidates per chain; the starting
+forward pass for all chains on the chamber operator's CSR transpose, then
+one batched backward draw over that transpose's rows, at most
+|offsets|^n predecessor candidates per chain; the starting
 configurations are one such draw from the untilted ensemble.
 """
 
@@ -19,7 +20,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import exact_engine as ee
 from .model_core import (
@@ -88,16 +88,14 @@ class ChainDiagnostics:
 
 
 @lru_cache(maxsize=32)
-def _local_transfer(n: int, x_loc: int, kernel: Kernel, tilt: TiltSpec | None):
-    states = ee.enumerate_states(n, x_loc)
-    # transposed sparse operator: the batched forward pass is O(nnz), not O(S^2)
-    mat, pred, probs = ee.transfer_tables(states, kernel)
-    mat_t = sp.csr_matrix(mat.T)
-    log_tilt = np.zeros(states.size) if tilt is None else ee.tilt_log_vector(states, tilt)
-    to, move = np.nonzero(pred >= 0)
-    # largest change of the log tilt along one step
-    tilt_step = float(np.abs(log_tilt[pred[to, move]] - log_tilt[to]).max()) if to.size else 0.0
-    return states, mat_t, log_tilt, tilt_step, pred, probs
+def _local_transfer(n: int, x_loc: int, kernel: Kernel, tilt: TiltSpec) -> tuple[ee.TransferStep, float]:
+    """The chamber operator on {1..x_loc} and the largest change of its
+    log tilt along one step."""
+    step = ee.step_matrix(ee.enumerate_states(n, x_loc), kernel, tilt)
+    mat, log_tilt = step.matrix, step.log_tilt
+    src = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    tilt_step = float(np.abs(log_tilt[src] - log_tilt[mat.indices]).max()) if mat.nnz else 0.0
+    return step, tilt_step
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +142,7 @@ def _apply_block_batch(
     heights: np.ndarray,
     spec: EnsembleSpec,
     kernel: Kernel,
-    tilt: TiltSpec | None,
+    tilt: TiltSpec,
     block: tuple[int, int | None],
     us: np.ndarray,
     cursor: int,
@@ -165,7 +163,8 @@ def _apply_block_batch(
         ends_top = max(ends_top, int(heights[:, 0, spec.col(l)].max()))
     x_loc = ends_top + m * kernel.max_step + 2
     x_loc = min(spec.x_max, int(math.ceil(x_loc / 4.0)) * 4)
-    states, mat_t, log_tilt, tilt_step, pred, probs = _local_transfer(spec.n, x_loc, kernel, tilt)
+    step, tilt_step = _local_transfer(spec.n, x_loc, kernel, tilt)
+    states, mat_t, log_tilt = step.states, step.matrix_t, step.log_tilt
 
     r = heights.shape[0]
     start = states.ids(heights[:, :, col_k])
@@ -198,7 +197,7 @@ def _apply_block_batch(
         fwd[t] = f / np.where(scale > 0, scale, 1.0)
     fwd[m] = mat_t @ fwd[m - 1]
 
-    idx = ee.ffbs(pred, probs, fwd.transpose(0, 2, 1), start, last, us[:, cursor : cursor + n_draw])
+    idx = ee.ffbs(step, fwd.transpose(0, 2, 1), start, last, us[:, cursor : cursor + n_draw])
     stop = m if free else m - 1
     heights[:, :, col_k + 1 : col_k + stop + 1] = states.arr[idx[1 : stop + 1]].transpose(1, 2, 0)
     return cursor + n_draw
@@ -208,7 +207,7 @@ def _sweep_batch(
     heights: np.ndarray,
     spec: EnsembleSpec,
     kernel: Kernel,
-    tilt: TiltSpec | None,
+    tilt: TiltSpec,
     blocks,
     us: np.ndarray,
 ) -> None:
@@ -234,10 +233,8 @@ def _untilted_messages(spec: EnsembleSpec, kernel: Kernel) -> ee.TransferResult:
         tops.append(spec.boundary.v[0])
     x_init = min(spec.x_max, max(tops) + 2 * spec.n + 8)
     while True:
-        states = ee.enumerate_states(spec.n, x_init)
-        res = ee._compute_messages(
-            replace(spec, x_max=x_init), kernel, states, np.zeros(states.size), predecessors=True
-        )
+        step = ee.step_matrix(ee.enumerate_states(spec.n, x_init), kernel)
+        res = ee._compute_messages(replace(spec, x_max=x_init), kernel, step)
         if np.isfinite(res.log_z):
             return res
         if x_init >= spec.x_max:

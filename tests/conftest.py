@@ -124,8 +124,7 @@ def random_admissible_path(rng, n, x_max, width, kernel):
     from ensembles import exact_engine as ee
 
     states = ee.enumerate_states(n, x_max)
-    mat = ee._step_probability_matrix(states, kernel)
-    dense = mat if isinstance(mat, np.ndarray) else mat.toarray()
+    dense = ee.step_matrix(states, kernel).matrix.toarray()
     cur = int(rng.integers(0, states.size))
     cols = [states.states[cur]]
     for _ in range(width):

@@ -242,8 +242,7 @@ class TestSlope:
             1, (1.0,), lazy, tilt, [8.0, 16.0, 32.0], eta=2.0, x_max=x_max
         )
         states = ee.enumerate_states(1, x_max)
-        mat = ee._step_probability_matrix(states, lazy)
-        dense = mat if isinstance(mat, np.ndarray) else mat.toarray()
+        dense = ee.step_matrix(states, lazy).matrix.toarray()
         rho = max(np.abs(np.linalg.eigvals(dense)))
         h2 = mc.h_scale(tilt.potential).h_big ** 2
         expected = 2 * h2 * math.log(rho)  # window [0, 2*half] has 2*half*T steps per T

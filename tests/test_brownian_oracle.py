@@ -193,7 +193,7 @@ class TestHalfPasses:
         states = ee.enumerate_states(n, grid.n_sites)
         g = killed_stencil_matrix(states)
         lt = bo._tilt_log_vector(states, a, b, grid.dx)
-        f0, bT, _ = bo._boundary_vectors(n, grid, boundary, states.size, states)
+        f0, bT = bo._boundary_vectors(n, grid, boundary, states)
         steps = grid.n_steps
         fwd, bwd = [f0], [bT]
         for _ in range(steps):
@@ -238,7 +238,7 @@ class TestMirroredHalfPass:
     def two_pass(n, a, b, grid, boundary, j):
         states, g = bo._killed_step(n, grid.n_sites)
         tilt = np.exp(bo._tilt_log_vector(states, a, b, grid.dx))
-        f0, bT, _ = bo._boundary_vectors(n, grid, boundary, states.size, states)
+        f0, bT = bo._boundary_vectors(n, grid, boundary, states)
         fwd = bo._scaled_pass(lambda v: g(v * tilt), f0, j)
         bwd = bo._scaled_pass(lambda v: g(v) * tilt, bT, grid.n_steps - j)
         return fwd, bwd
@@ -301,7 +301,7 @@ class TestSteepHalfPasses:
         with np.errstate(divide="ignore"):
             log_g = np.log(g)
         lt = bo._tilt_log_vector(states, a, b, grid.dx)
-        fwd, bwd, _ = bo._boundary_vectors(n, grid, boundary, states.size, states)
+        fwd, bwd = bo._boundary_vectors(n, grid, boundary, states)
         for _ in range(j):
             fwd = la.logsumexp(log_g + (fwd + lt)[:, None], axis=0)
         for _ in range(grid.n_steps - j):

@@ -221,6 +221,20 @@ class TestRun:
             outs.append(((tmp_path / name / "converge.csv").read_bytes(), json.dumps(env, sort_keys=True)))
         assert outs[0] == outs[1]
 
+    def test_converge_solves_its_target_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = bo.stationary_density
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bo, "stationary_density", counted)
+        cfg = cio.parse_config(CONVERGE_CFG.replace("0.5,0.3", "0.5,0.4,0.3"))
+        cio.run(cfg, tmp_path, threads=2)
+        assert len(calls) == 1
+        assert len((tmp_path / "converge.csv").read_text().splitlines()) == 4  # header and 3 lambdas
+
     @pytest.mark.parametrize("text", [DOMINANCE_CFG, INVARIANCE_CFG], ids=["dominance", "invariance"])
     def test_oracle_experiments_identical_across_threads(self, tmp_path, text):
         # the chamber of each grid is shared between calls, and between threads

@@ -68,16 +68,26 @@ class TestStepMatrix:
         step = ee.step_matrix(states, srw, tilt_of())
         assert step.entry((1,), (1,)) == 0.0
 
-    @pytest.mark.parametrize("kernel", ["srw", "lazy", "unit"])
-    def test_predecessor_table_matches_matrix(self, request, kernel):
-        kern = request.getfixturevalue(kernel)
-        states = ee.enumerate_states(2, 7)
-        pred, probs = ee.predecessor_table(states, kern)
-        dense = np.zeros((states.size, states.size))
-        for j, k in zip(*np.nonzero(pred >= 0)):
-            dense[pred[j, k], j] += probs[k]
-        assert pred.shape == (states.size, len(kern.offsets) ** 2)
-        assert np.array_equal(dense, ee._step_probability_matrix(states, kern).toarray())
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", ["srw", "lazy", "unit", "unsorted"])
+    def test_predecessors_list_column_nonzeros(self, request, kernel, n):
+        if kernel == "unsorted":
+            kern = mc.make_kernel((1, -1, 0), (0.25, 0.25, 0.5))
+        else:
+            kern = request.getfixturevalue(kernel)
+        states = ee.enumerate_states(n, 7)
+        step = ee.step_matrix(states, kern, tilt_of())
+        pred, probs = step.predecessors
+        cols = step.matrix.tocsc()
+        counts = np.diff(cols.indptr)
+        assert pred.shape == probs.shape == (states.size, counts.max())
+        for j in range(states.size):
+            k = counts[j]
+            src = cols.indices[cols.indptr[j] : cols.indptr[j + 1]]
+            order = np.argsort(-src)
+            assert pred[j, :k].tolist() == src[order].tolist()  # descending source id
+            assert probs[j, :k].tolist() == cols.data[cols.indptr[j] : cols.indptr[j + 1]][order].tolist()
+            assert (pred[j, k:] == -1).all() and (probs[j, k:] == 0.0).all()
 
     @pytest.mark.parametrize("n,x_max", [(1, 9), (2, 8), (3, 9)])
     def test_successor_blocks_match_per_move_search(self, unit, monkeypatch, n, x_max):
@@ -244,8 +254,8 @@ class TestLaws:
         # t = 1 needs a 28 x 28 x 22 table, below the 28^3 a power would take
         spec = bridge_spec(2, 0, 4, (3, 1), (3, 1), x_max=8)
         states = ee.enumerate_states(2, 8)
-        pred, _ = ee.predecessor_table(states, unit)
-        s, k = states.size, int((pred >= 0).sum(axis=1).max())
+        mat_t = ee.step_matrix(states, unit).matrix_t
+        s, k = states.size, int(np.diff(mat_t.indptr).max())
         assert s**2 * k < s**3
         monkeypatch.setenv("ENSEMBLES_BUDGET", str((s**2 * k + s**3) // 2))
         for times in ([0, 2], [0, 3], [1, 4]):
@@ -261,8 +271,7 @@ class TestLaws:
         spec = bridge_spec(2, 0, 4, (3, 1), (3, 1), x_max=8)
         res = ee.ensemble_messages(spec, unit, tilt_of())
         s = res.states.size
-        pred, _ = ee.predecessor_table(res.states, unit)
-        table = s * s * int((pred >= 0).sum(axis=1).max())
+        table = s * s * int(np.diff(res.step.matrix_t.indptr).max())
         monkeypatch.setenv("ENSEMBLES_BUDGET", str(table - 1))  # the 28^2 law itself fits
         ee.law_from_messages(res, [0, 1])
         tracemalloc.start()
