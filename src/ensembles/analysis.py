@@ -19,7 +19,6 @@ import numpy as np
 
 from . import brownian_oracle as bo
 from . import exact_engine as ee
-from . import gibbs_sampler as gs
 from ._linalg import logsumexp
 from .model_core import (
     Bridge,
@@ -387,78 +386,70 @@ class GoodBlockReport:
             raise ValueError("flags inconsistent with m0")
 
 
-def _grid_extrema(path: RescaledPath, t_lo: float, t_hi: float, curve: int = 0):
-    """Min and max of one curve over grid times in [t_lo, t_hi] plus the
-    interpolated endpoint values (piecewise-linear extrema live there)."""
-    ts = path.times
-    mask = (ts >= t_lo - 1e-12) & (ts <= t_hi + 1e-12)
-    vals = [path.evaluate(t_lo)[curve], path.evaluate(t_hi)[curve]]
-    if mask.any():
-        vals.append(path.values[curve][mask])
-    stacked = np.hstack([np.atleast_1d(v) for v in vals])
-    return float(stacked.min()), float(stacked.max())
+def _top_extrema(path: RescaledPath, pts: np.ndarray, top: np.ndarray, i_lo: np.ndarray, i_hi: np.ndarray):
+    """Min and max of the top curve over each interval [pts[i_lo], pts[i_hi]]:
+    its grid values at times within 1e-12 of the interval and ``top``, its
+    interpolated values at ``pts`` (piecewise-linear extrema live there)."""
+    ts, grid = path.times, path.values[0]
+    first = np.searchsorted(ts, pts[i_lo] - 1e-12, side="left")
+    stop = np.searchsorted(ts, pts[i_hi] + 1e-12, side="right")
+    idx = first[:, None] + np.arange(max(int((stop - first).max(initial=0)), 1))
+    inside = idx < stop[:, None]
+    vals = grid[np.minimum(idx, ts.size - 1)]
+    ends_lo = np.minimum(top[i_lo], top[i_hi])
+    ends_hi = np.maximum(top[i_lo], top[i_hi])
+    lo = np.minimum(np.where(inside, vals, np.inf).min(axis=1), ends_lo)
+    hi = np.maximum(np.where(inside, vals, -np.inf).max(axis=1), ends_hi)
+    return lo, hi
 
 
-def _in_regular_set(x: np.ndarray, eta: float, eps: float) -> bool:
-    if x[-1] <= 0.0 or np.any(x[:-1] <= x[1:]):
-        return False
-    if x[0] > eta:
-        return False
-    if x.size > 1 and np.min(x[:-1] - x[1:]) < eps:
-        return False
-    return True
+def _path_blocks(path: RescaledPath, m: int, five: np.ndarray, eta: float, eps: float):
+    """One path's flags: per block [2l, 2l+2], l in [-m, m-1], whether it
+    is good, and per 5-block centred on block 5l (l in ``five``) whether
+    the top curve dips to eta in its first and last blocks.
 
-
-def _interval_regular(path: RescaledPath, l: float, eta: float, eps: float) -> bool:
-    for t in (l, l + 1.0):
-        if not _in_regular_set(path.evaluate(t), eta, eps):
-            return False
-    _, mx = _grid_extrema(path, l, l + 1.0)
-    return mx <= 2.0 * eta
-
-
-def _block_good(path: RescaledPath, l: int, eta: float, eps: float) -> bool:
-    return _interval_regular(path, 2.0 * l, eta, eps) and _interval_regular(path, 2.0 * l + 1.0, eta, eps)
+    A block is good when both of its unit intervals are: the path is in
+    the regular set at both ends (top <= eta, bottom > 0, gaps >= eps) and
+    the top curve stays <= 2 eta between them."""
+    pts = np.arange(-2 * m, 2 * m + 1, dtype=float)
+    x = path.evaluate(pts)  # (n, 4m + 1)
+    regular = (x[-1] > 0.0) & (x[0] <= eta)
+    if x.shape[0] > 1:
+        regular &= (x[:-1] > x[1:]).all(axis=0) & ((x[:-1] - x[1:]).min(axis=0) >= eps)
+    k = np.arange(4 * m)
+    _, top_max = _top_extrema(path, pts, x[0], k, k + 1)
+    unit_ok = regular[:-1] & regular[1:] & (top_max <= 2.0 * eta)
+    good = unit_ok[0::2] & unit_ok[1::2]
+    dips = []
+    for block in (5 * five - 2, 5 * five + 2):
+        i = 2 * (block + m)
+        low, _ = _top_extrema(path, pts, x[0], i, i + 2)
+        dips.append(low <= eta)
+    return good, dips[0] & dips[1]
 
 
 def good_blocks(x_path: RescaledPath, y_path: RescaledPath, eta: float, eps: float) -> GoodBlockReport:
     """Count blocks [2l, 2l+2] that are good for both paths, and 5-blocks
     that are jointly pre-good (top curve dips below eta in the first and
-    last sub-blocks)."""
+    last sub-blocks).  Each path's blocks are scored with array operations
+    over all of them at once."""
     t_lo = max(x_path.t_min, y_path.t_min)
     t_hi = min(x_path.t_max, y_path.t_max)
     m = int(math.floor(min(-t_lo, t_hi) / 2.0 + 1e-9))
     if m < 1:
         raise ValueError("paths too short for even one block pair")
-    flags = []
-    m0 = 0
-    for l in range(-m, m):
-        gx = _block_good(x_path, l, eta, eps)
-        gy = _block_good(y_path, l, eta, eps)
-        flags.append((gx, gy))
-        m0 += int(gx and gy)
-    five_flags = []
-    m0_5 = 0
-    m5 = m // 5
-    for l in range(-m5, m5 + 1):
-        lo_block, hi_block = 5 * l - 2, 5 * l + 2
-        if lo_block < -m or hi_block > m - 1:
-            continue
-        pre = []
-        for path in (x_path, y_path):
-            lo_min, _ = _grid_extrema(path, 2.0 * lo_block, 2.0 * lo_block + 2.0)
-            hi_min, _ = _grid_extrema(path, 2.0 * hi_block, 2.0 * hi_block + 2.0)
-            pre.append(lo_min <= eta and hi_min <= eta)
-        five_flags.append(tuple(pre))
-        m0_5 += int(all(pre))
+    five = np.arange(-(m // 5), m // 5 + 1)
+    five = five[(5 * five - 2 >= -m) & (5 * five + 2 <= m - 1)]
+    gx, px = _path_blocks(x_path, m, five, eta, eps)
+    gy, py = _path_blocks(y_path, m, five, eta, eps)
     return GoodBlockReport(
         eta=eta,
         eps=eps,
         m_blocks=m,
-        m0=m0,
-        m0_5=m0_5,
-        flags=tuple(flags),
-        five_flags=tuple(five_flags),
+        m0=int((gx & gy).sum()),
+        m0_5=int((px & py).sum()),
+        flags=tuple(zip(gx.tolist(), gy.tolist())),
+        five_flags=tuple(zip(px.tolist(), py.tolist())),
     )
 
 
@@ -483,12 +474,15 @@ def good_block_experiment(
     eps: float,
     pairs: int = 200,
     seed: int = 0,
-    burn_in: int = 40,
     threads: int = 1,
 ) -> list[BlockExperimentPoint]:
     """Monte Carlo estimate of the jointly-good-block density and the tail
     probability P(M0 <= nu * M) across growing windows, with nu fixed to
-    half the pooled mean density."""
+    half the pooled mean density.
+
+    Each window's 2 * pairs paths are i.i.d. exact draws of the walk
+    ensemble (one ``exact_sample`` call with seed ``seed + window
+    index``), so no burn-in enters.  Windows are mapped over ``threads``."""
     pot = linear_potential(lam)
     tilt = TiltSpec(a=tilt_a, b=tilt_b, potential=pot)
     scale = h_scale(pot)
@@ -503,16 +497,7 @@ def good_block_experiment(
             boundary=Walk(u=u),
             x_max=default_x_max(lam, u[0]),
         )
-        params = gs.McmcParams(
-            block_len=8,
-            overlap=4,
-            sweeps=1,
-            burn_in=burn_in,
-            thin=1,
-            seed=seed + wi,
-            chains=2 * pairs,
-        )
-        samples, _ = gs.sample_paths(spec, kernel, tilt, params)
+        samples = ee.exact_sample(spec, kernel, tilt, seed=seed + wi, count=2 * pairs)
         counts = []
         m_blocks = None
         for i in range(pairs):

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -44,6 +45,10 @@ class UnknownKey(ConfigError):
 
 class MissingRequired(ConfigError):
     """Required configuration key absent."""
+
+
+class IgnoredKeyWarning(UserWarning):
+    """A configuration key that is parsed and echoed but has no effect."""
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +578,14 @@ def _walk_side_dominance(cfg: RunConfig, n: int) -> dict:
 
 
 def _run_blocks(cfg: RunConfig, threads: int, seed: int):
+    warnings.warn(
+        "blocks.burn_in has no effect: the blocks experiment draws exact i.i.d. paths", IgnoredKeyWarning
+    )
     kernel = build_kernel(cfg)
     pts = an.good_block_experiment(
         cfg["model.n"], cfg["model.lambda"], kernel, cfg["model.a"], cfg["model.b"],
         window_halves=cfg["blocks.windows"], eta=cfg["blocks.eta"], eps=cfg["blocks.eps"],
-        pairs=cfg["blocks.pairs"], seed=seed, burn_in=cfg["blocks.burn_in"],
-        threads=threads,
+        pairs=cfg["blocks.pairs"], seed=seed, threads=threads,
     )
     header = ["window_half", "m_blocks", "pairs", "mean_density", "nu", "tail_prob"]
     rows = [
@@ -656,14 +663,25 @@ def _jsonable(obj):
 def run(cfg: RunConfig, out_dir: str | Path, seed: int | None = None, threads: int | None = None) -> dict:
     """Run one experiment, write results.json and per-curve CSVs, and
     return the result envelope.  Exit semantics: envelope["pass"] False
-    means a PASS/FAIL experiment failed."""
+    means a PASS/FAIL experiment failed.
+
+    Every warning the run raises, in any thread, is recorded in the
+    envelope's "warnings" list as {"category", "message"}, deduplicated
+    and sorted so that thread scheduling cannot reorder it; each distinct
+    warning is then issued again under the caller's own filters."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.get("seed", 0) if seed is None else seed
     threads = cfg.get("threads", 1) if threads is None else threads
     t0 = time.perf_counter()
-    payload, curves, passed = _RUNNERS[cfg.experiment](cfg, threads, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        payload, curves, passed = _RUNNERS[cfg.experiment](cfg, threads, seed)
     elapsed = time.perf_counter() - t0
+    raised = {}
+    for w in caught:
+        cat = f"{w.category.__module__}.{w.category.__qualname__}"
+        raised.setdefault((cat, str(w.message)), w)
     envelope = {
         "experiment": cfg.experiment,
         "config": _jsonable({**cfg.values, "experiment": cfg.experiment}),
@@ -674,11 +692,14 @@ def run(cfg: RunConfig, out_dir: str | Path, seed: int | None = None, threads: i
         "pass": passed,
         "payload": _jsonable(payload),
         "curves": sorted(curves),
+        "warnings": [{"category": c, "message": m} for c, m in sorted(raised)],
         "timings": {"total_seconds": elapsed},
     }
     (out / "results.json").write_text(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
     for name, (header, rows) in sorted(curves.items()):
         (out / f"{name}.csv").write_text(emit_csv(header, rows))
+    for w in raised.values():
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return envelope
 
 

@@ -6,7 +6,8 @@ bridge laws run in log space; zero mass is an explicit -inf, never an
 underflowed float.  Exact sampling is forward filtering / backward
 sampling: one batched draw per time step for all samples, each weighing
 the candidates of one row of the step's CSR transpose ``matrix_t`` (at
-most |offsets|^n), with one spawned random stream per sample.
+most |offsets|^n) in log space, with one spawned random stream per
+sample.
 ``TransferStep`` is the one chamber operator: messages, product laws
 and both samplers step its matrix or that transpose, built once.
 """
@@ -33,6 +34,7 @@ from .model_core import (
     PathConfig,
     TiltSpec,
     Walk,
+    path_configs,
 )
 
 DEFAULT_BUDGET = 5e7
@@ -662,32 +664,40 @@ def categorical(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
 
 
-def ffbs(step: TransferStep, fwd: np.ndarray, first, last, us: np.ndarray) -> np.ndarray:
-    """Batched backward sampling (Carter & Kohn 1994) over the step's
-    predecessor candidates.
+def ffbs(steps: int, first, last, us: np.ndarray, weigh) -> np.ndarray:
+    """Batched backward sampling (Carter & Kohn 1994) of R draws over
+    columns 0..T, T = ``steps``.
 
-    ``fwd`` is (T+1, R or 1, S) forward weights in linear space, each row
-    scaled freely; a single row is shared by all R draws.  For t < T a
-    row holds the tilted weight of each state as the source of the next
-    step; at T it holds the plain forward weight.  ``first`` is the fixed
-    start id; ``last`` the end ids, or None to draw them from ``fwd[T]``.
-    ``us`` is (R, k) uniforms taken column by column: the end when drawn,
-    then times T-1 down to 1.  Returns (T+1, R) state ids.
+    ``first`` is the fixed start id.  ``last`` is the end ids, or (R or
+    1, S) linear end weights to draw them from; a single row is shared by
+    all R draws.  ``weigh(t, nxt)`` is the caller's weighing of a draw's
+    candidates: for the (R,) ids at t + 1 it returns the (R, K) ids of
+    the states that step to them and the candidates' linear weights, each
+    row scaled freely, a zero weight never drawn.  ``us`` is (R, k)
+    uniforms taken column by column: the end when drawn, then times T-1
+    down to 1.  Returns (T+1, R) state ids.
     """
-    pred, probs = step.predecessors
-    steps = fwd.shape[0] - 1
     r = us.shape[0]
     cols = iter(us.T)
     ids = np.empty((steps + 1, r), dtype=np.int64)
     ids[0] = first
-    ids[steps] = categorical(fwd[steps], next(cols)) if last is None else last
+    ids[steps] = categorical(last, next(cols)) if np.ndim(last) == 2 else last
     rows = np.arange(r)
-    chain = rows[:, None] if fwd.shape[1] > 1 else 0
     for t in range(steps - 1, 0, -1):
-        cand = pred[ids[t + 1]]  # (R, K); a padding candidate has probability 0
-        w = fwd[t][chain, cand] * probs[ids[t + 1]]
+        cand, w = weigh(t, ids[t + 1])
         ids[t] = cand[rows, categorical(w, next(cols))]
     return ids
+
+
+def column_candidates(mat_t: sp.csr_matrix, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``nxt`` of the CSR transpose, read in place: (R, K)
+    positions in ``mat_t.data``/``indices``, in descending source id, K
+    the longest of these rows, and the mask of real entries.  A padding
+    position (mask False) is a valid index whose entry must be ignored."""
+    lo, hi = mat_t.indptr[nxt], mat_t.indptr[nxt + 1]
+    k = np.arange(max(int((hi - lo).max(initial=0)), 1))
+    pos = hi[:, None] - 1 - k  # >= hi - K >= -nnz, so in range even where masked
+    return pos, pos >= lo[:, None]
 
 
 def sample_draws(spec: EnsembleSpec) -> int:
@@ -697,17 +707,36 @@ def sample_draws(spec: EnsembleSpec) -> int:
 
 def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     """(R, n, width) heights of R exact draws from the ensemble behind
-    ``res``, one per row of the (R, sample_draws) uniforms ``us``."""
-    spec, states = res.spec, res.states
+    ``res``, one per row of the (R, sample_draws) uniforms ``us``.
+
+    A draw weighs its candidates, read from the rows of ``matrix_t``, in
+    log space, forward[t] + log_tilt + log p, shifted by the draw's own
+    largest weight, so no candidate underflows against states it does
+    not compete with; no exp'd copy of the messages is made."""
+    spec, states, step = res.spec, res.states, res.step
     if not np.isfinite(res.log_z):
         raise ValueError("ensemble has zero total mass; nothing to sample")
-    g = res.forward.copy()
-    g[:-1] += res.step.log_tilt
-    top = g.max(axis=1, keepdims=True)
-    fwd = np.exp(g - np.where(np.isfinite(top), top, 0.0))[:, None, :]
-    last = states.id_of(spec.boundary.v) if isinstance(spec.boundary, Bridge) else None
-    ids = ffbs(res.step, fwd, states.id_of(spec.boundary.u), last, us)
+    mat_t, log_tilt, forward = step.matrix_t, step.log_tilt, res.forward
+
+    def weigh(t, nxt):
+        pos, real = column_candidates(mat_t, nxt)
+        cand = mat_t.indices[pos]
+        log_w = np.where(real, forward[t][cand] + log_tilt[cand] + np.log(mat_t.data[pos]), NEG_INF)
+        return cand, _shifted_exp(log_w)
+
+    if isinstance(spec.boundary, Bridge):
+        last = states.id_of(spec.boundary.v)
+    else:
+        last = _shifted_exp(forward[-1][None, :])
+    ids = ffbs(spec.width - 1, states.id_of(spec.boundary.u), last, us, weigh)
     return np.ascontiguousarray(states.arr[ids].transpose(1, 2, 0))
+
+
+def _shifted_exp(log_w: np.ndarray) -> np.ndarray:
+    """exp of (R, K) log weights, each row shifted by its maximum; a row
+    with no finite weight stays all zero."""
+    top = log_w.max(axis=1, keepdims=True)
+    return np.exp(log_w - np.where(np.isfinite(top), top, 0.0))
 
 
 def exact_sample(
@@ -720,9 +749,10 @@ def exact_sample(
     """i.i.d. exact samples by forward filtering / backward sampling.
 
     All samples are drawn together, one batched backward step per time,
-    each weighing at most |offsets|^n predecessor candidates.  Every
-    sample consumes its own spawned random stream, so sample i is the
-    same for any count > i and results do not depend on batching.
+    each weighing at most |offsets|^n predecessor candidates in log
+    space.  Every sample consumes its own spawned random stream, so
+    sample i is the same for any count > i and results do not depend on
+    batching.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -732,4 +762,4 @@ def exact_sample(
     k = sample_draws(spec)
     children = np.random.SeedSequence(seed).spawn(count)
     us = np.array([np.random.default_rng(c).random(k) for c in children])
-    return [PathConfig(heights=h, spec=spec) for h in sample_heights(res, us)]
+    return path_configs(sample_heights(res, us), spec)

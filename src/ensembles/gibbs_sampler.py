@@ -6,9 +6,12 @@ acceptance step to tune.  Chains are vectorized internally: a batch of
 independent chains shares the block schedule while every chain consumes
 its own spawned random stream.  A block redraw is a scaled linear-space
 forward pass for all chains on the chamber operator's CSR transpose, then
-one batched backward draw over that transpose's rows, at most
-|offsets|^n predecessor candidates per chain; the starting
-configurations are one such draw from the untilted ensemble.
+one batched backward draw by ``ee.ffbs``: each chain weighs at most
+|offsets|^n predecessor candidates, read from the step's cached (S, K)
+padded table, in linear space against its own scaled forward column.
+The starting configurations are one exact draw (``ee.sample_heights``,
+weighed in log space) from the untilted ensemble.  Kept samples are
+validated once per sweep as a batch.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .model_core import (
     PathConfig,
     TiltSpec,
     Walk,
+    path_configs,
 )
 
 _EXP_CAP = 700.0  # largest exponent taken in the linear block pass; exp(709.8) overflows
@@ -168,7 +172,6 @@ def _apply_block_batch(
 
     r = heights.shape[0]
     start = states.ids(heights[:, :, col_k])
-    last = None
     if not free:
         end = heights[:, :, spec.col(l)]
         last = states.ids(end)
@@ -183,7 +186,7 @@ def _apply_block_batch(
     # that cannot reach a pinned end are zeroed first, so the shift and
     # the row scale follow the mass that the bridge can use.
     every = int(_EXP_CAP // tilt_step) + 1 if tilt_step > 0 else m
-    fwd = np.zeros((m + 1, states.size, r))
+    fwd = np.zeros((m, states.size, r))
     fwd[0, start, np.arange(r)] = 1.0
     for t in range(1, m):
         f = mat_t @ fwd[t - 1]
@@ -195,9 +198,18 @@ def _apply_block_batch(
         f *= tilt_w
         scale = f.max(axis=0)
         fwd[t] = f / np.where(scale > 0, scale, 1.0)
-    fwd[m] = mat_t @ fwd[m - 1]
+    if free:
+        last = (mat_t @ fwd[m - 1]).T  # the end's weights, one row per chain
 
-    idx = ee.ffbs(step, fwd.transpose(0, 2, 1), start, last, us[:, cursor : cursor + n_draw])
+    # a draw's candidates come from the cached (S, K) predecessor table
+    pred, probs = step.predecessors
+    chain = np.arange(r)[:, None]
+
+    def weigh(t, nxt):
+        cand = pred[nxt]  # (R, K); a padding candidate has probability 0
+        return cand, fwd[t][cand, chain] * probs[nxt]
+
+    idx = ee.ffbs(m, start, last, us[:, cursor : cursor + n_draw], weigh)
     stop = m if free else m - 1
     heights[:, :, col_k + 1 : col_k + stop + 1] = states.arr[idx[1 : stop + 1]].transpose(1, 2, 0)
     return cursor + n_draw
@@ -347,8 +359,7 @@ def sample_paths(
             body = heights[:, :, :-1].astype(float)
             v = tilt.potential.value(body)
             area_series.append(np.einsum("rnt,n->r", v, curve_w))
-            for c in range(r):
-                samples.append(PathConfig(heights=heights[c].copy(), spec=spec))
+            samples.extend(path_configs(heights.copy(), spec))
     elapsed = time.perf_counter() - t0
 
     tau: dict = {"x1_center": None, "area": None}

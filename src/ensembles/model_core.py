@@ -295,24 +295,47 @@ class PathConfig:
     spec: EnsembleSpec
 
     def __post_init__(self):
-        h = np.asarray(self.heights, dtype=np.int64)
-        if h.shape != (self.spec.n, self.spec.width):
-            raise ValueError(f"heights shape {h.shape} != (n, width) = ({self.spec.n}, {self.spec.width})")
-        if np.any(h < 0):
-            raise ValueError("heights must be nonnegative")
-        b = self.spec.boundary
-        if tuple(h[:, 0]) != b.u:
-            raise ValueError("left boundary column does not match u")
-        if isinstance(b, Bridge) and tuple(h[:, -1]) != b.v:
-            raise ValueError("right boundary column does not match v")
-        h.flags.writeable = False
-        object.__setattr__(self, "heights", h)
+        object.__setattr__(self, "heights", _checked_heights(self.heights, self.spec, batch=False))
 
     def column(self, t: int) -> tuple[int, ...]:
         return tuple(self.heights[:, self.spec.col(t)])
 
     def with_heights(self, heights: np.ndarray) -> "PathConfig":
         return PathConfig(heights=heights, spec=self.spec)
+
+
+def _checked_heights(heights, spec: EnsembleSpec, batch: bool) -> np.ndarray:
+    """One (n, width) height matrix, or a batch of them stacked on a
+    leading axis, as a read-only int64 array (the input itself when it is
+    one) after PathConfig's checks; each check runs once over the whole
+    batch and raises as for one path."""
+    h = np.asarray(heights, dtype=np.int64)
+    shape = h.shape[1:] if batch else h.shape
+    if shape != (spec.n, spec.width):
+        raise ValueError(f"heights shape {shape} != (n, width) = ({spec.n}, {spec.width})")
+    if np.any(h < 0):
+        raise ValueError("heights must be nonnegative")
+    b = spec.boundary
+    if np.any(h[..., 0] != b.u):
+        raise ValueError("left boundary column does not match u")
+    if isinstance(b, Bridge) and np.any(h[..., -1] != b.v):
+        raise ValueError("right boundary column does not match v")
+    h.flags.writeable = False
+    return h
+
+
+def path_configs(heights: np.ndarray, spec: EnsembleSpec) -> list[PathConfig]:
+    """PathConfigs of a (count, n, width) batch of height matrices, checked
+    once for the batch; each path's heights are a read-only view of the
+    batch's int64 array."""
+    h = _checked_heights(heights, spec, batch=True)
+    out = []
+    for row in h:
+        path = object.__new__(PathConfig)
+        object.__setattr__(path, "heights", row)
+        object.__setattr__(path, "spec", spec)
+        out.append(path)
+    return out
 
 
 @dataclass(frozen=True)

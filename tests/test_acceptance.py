@@ -270,7 +270,7 @@ def test_09_good_blocks():
     kernel = mc.unit_walk()
     pts = an.good_block_experiment(
         2, 0.2, kernel, 1.0, 2.0, window_halves=[20, 30, 40],
-        eta=3.0, eps=0.1, pairs=150, seed=11, burn_in=30,
+        eta=3.0, eps=0.1, pairs=150, seed=11,
     )
     densities = [p.mean_density for p in pts]
     tails = [p.tail_prob for p in pts]

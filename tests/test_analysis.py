@@ -230,6 +230,134 @@ class TestGoodBlocks:
         assert rep_low.m0_5 == len(rep_low.five_flags)
 
 
+# The per-point scorer that good_blocks replaced, kept as its reference.
+
+
+def _ref_grid_extrema(path, t_lo, t_hi, curve=0):
+    ts = path.times
+    mask = (ts >= t_lo - 1e-12) & (ts <= t_hi + 1e-12)
+    vals = [path.evaluate(t_lo)[curve], path.evaluate(t_hi)[curve]]
+    if mask.any():
+        vals.append(path.values[curve][mask])
+    stacked = np.hstack([np.atleast_1d(v) for v in vals])
+    return float(stacked.min()), float(stacked.max())
+
+
+def _ref_in_regular_set(x, eta, eps):
+    if x[-1] <= 0.0 or np.any(x[:-1] <= x[1:]):
+        return False
+    if x[0] > eta:
+        return False
+    if x.size > 1 and np.min(x[:-1] - x[1:]) < eps:
+        return False
+    return True
+
+
+def _ref_interval_regular(path, l, eta, eps):
+    for t in (l, l + 1.0):
+        if not _ref_in_regular_set(path.evaluate(t), eta, eps):
+            return False
+    _, mx = _ref_grid_extrema(path, l, l + 1.0)
+    return mx <= 2.0 * eta
+
+
+def _ref_block_good(path, l, eta, eps):
+    return _ref_interval_regular(path, 2.0 * l, eta, eps) and _ref_interval_regular(path, 2.0 * l + 1.0, eta, eps)
+
+
+def _ref_good_blocks(x_path, y_path, eta, eps):
+    t_lo = max(x_path.t_min, y_path.t_min)
+    t_hi = min(x_path.t_max, y_path.t_max)
+    m = int(math.floor(min(-t_lo, t_hi) / 2.0 + 1e-9))
+    flags = []
+    m0 = 0
+    for l in range(-m, m):
+        gx = _ref_block_good(x_path, l, eta, eps)
+        gy = _ref_block_good(y_path, l, eta, eps)
+        flags.append((gx, gy))
+        m0 += int(gx and gy)
+    five_flags = []
+    m0_5 = 0
+    m5 = m // 5
+    for l in range(-m5, m5 + 1):
+        lo_block, hi_block = 5 * l - 2, 5 * l + 2
+        if lo_block < -m or hi_block > m - 1:
+            continue
+        pre = []
+        for path in (x_path, y_path):
+            lo_min, _ = _ref_grid_extrema(path, 2.0 * lo_block, 2.0 * lo_block + 2.0)
+            hi_min, _ = _ref_grid_extrema(path, 2.0 * hi_block, 2.0 * hi_block + 2.0)
+            pre.append(lo_min <= eta and hi_min <= eta)
+        five_flags.append(tuple(pre))
+        m0_5 += int(all(pre))
+    return an.GoodBlockReport(
+        eta=eta, eps=eps, m_blocks=m, m0=m0, m0_5=m0_5, flags=tuple(flags), five_flags=tuple(five_flags)
+    )
+
+
+def _random_path(rng, n, times, eta):
+    """Ordered curves whose top wanders around eta..2 eta and whose gaps
+    wander around a few multiples of 0.05, so every check can flip."""
+    top = np.clip(eta * (1.0 + 0.9 * rng.standard_normal(times.size).cumsum() / 4.0), -0.2, None)
+    gaps = rng.choice([0.0, 0.04, 0.05, 0.06, 0.3], size=(n - 1, times.size))
+    vals = top - np.vstack([np.zeros(times.size), gaps.cumsum(axis=0)])
+    return mc.RescaledPath(times=times, values=vals)
+
+
+class TestGoodBlocksMatchScalarReference:
+    @staticmethod
+    def _check(x, y, eta, eps):
+        got = an.good_blocks(x, y, eta, eps)
+        ref = _ref_good_blocks(x, y, eta, eps)
+        assert got == ref
+        assert all(type(f) is bool for pair in got.flags + got.five_flags for f in pair)
+
+    def test_random_paths(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            step = float(rng.choice([0.09, 0.2, 1 / 3, 0.7, 1.3, 2.6]))
+            eta = float(rng.uniform(0.5, 3.0))
+            paths = []
+            for _ in range(2):
+                lo, hi = rng.integers(10, 40, size=2) / step
+                times = np.arange(-int(lo), int(hi) + 1) * step
+                paths.append(_random_path(rng, n, times, eta))
+            self._check(*paths, eta=eta, eps=0.05)
+
+    @pytest.mark.parametrize("step", [0.25, 0.5, 1.0, 2.0])
+    def test_knots_on_block_edges(self, step):
+        # knots at every integer time, with values at exactly eta and 2 eta
+        rng = np.random.default_rng(int(4 * step))
+        times = np.arange(-int(24 / step), int(24 / step) + 1) * step
+        eta = 1.5
+        for _ in range(10):
+            x, y = (_random_path(rng, 2, times, eta) for _ in range(2))
+            vals = x.values.copy()
+            hit = rng.random(times.size) < 0.4
+            vals[0, hit] = rng.choice([eta, 2.0 * eta], size=hit.sum())
+            vals[1] = np.minimum(vals[1], vals[0] - 0.05)
+            self._check(mc.RescaledPath(times=times, values=vals), y, eta=eta, eps=0.05)
+
+    @pytest.mark.parametrize("offset", [-2e-12, -1e-12, -0.5e-12, 0.5e-12, 1e-12, 2e-12])
+    def test_knots_at_the_edge_tolerance(self, offset):
+        # a spike above 2 eta (or a dip below eta) on a knot just off an
+        # integer time counts only within the 1e-12 tolerance
+        eta = 1.0
+        base = np.arange(-25, 26, dtype=float)
+        times = np.sort(np.concatenate([base, base[1:-1] + offset]))
+        rng = np.random.default_rng(7)
+        for spike in (2.5 * eta, 0.5 * eta):
+            vals = np.full((1, times.size), 1.5 * eta if spike < eta else 0.9 * eta)
+            off = np.flatnonzero(~np.isin(times, base))
+            pick = off[rng.random(off.size) < 0.5]
+            vals[0, pick] = spike
+            x = mc.RescaledPath(times=times, values=vals)
+            y = mc.RescaledPath(times=base, values=np.full((1, base.size), 0.9 * eta))
+            self._check(x, y, eta=eta, eps=0.05)
+            self._check(y, x, eta=eta, eps=0.05)
+
+
 class TestSlope:
     def test_untilted_slope_matches_survival_eigenvalue(self, lazy):
         # independent oracle: leading eigenvalue of the untilted restricted

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import ensembles
+from ensembles import analysis as an
 from ensembles import brownian_oracle as bo
 from ensembles import cli_io as cio
 from ensembles import exact_engine as ee
@@ -112,6 +114,22 @@ invariance.m_cont = 1.0
 invariance.boundary = bridge
 invariance.u = 1.0
 oracle.dx = 0.05
+"""
+
+
+BLOCKS_CFG = """\
+experiment = blocks
+seed = 2
+kernel.preset = unit
+model.n = 1
+model.a = 1.0
+model.b = 2.0
+model.lambda = 0.5
+blocks.windows = 6,8
+blocks.eta = 3.0
+blocks.eps = 0.1
+blocks.pairs = 5
+blocks.burn_in = 7
 """
 
 
@@ -278,6 +296,53 @@ class TestRun:
         cfg = cio.parse_config(text)
         with pytest.raises(ee.TooLarge):
             cio.run(cfg, tmp_path / "out")
+
+    def test_cutoff_warning_recorded_in_envelope(self, tmp_path):
+        cfg = cio.parse_config(EXACT_CFG + "engine.x_max = 3\n")
+        with pytest.warns(ee.CutoffDominatedWarning):
+            env = cio.run(cfg, tmp_path)
+        assert env["payload"]["cutoff_warning"] is True
+        on_disk = json.loads((tmp_path / "results.json").read_text())
+        assert on_disk["warnings"] == env["warnings"] == [
+            {
+                "category": "ensembles.exact_engine.CutoffDominatedWarning",
+                "message": "mass within 2 of x_max=3 exceeds 1e-08 of total",
+            }
+        ]
+        assert cio.run(cio.parse_config(EXACT_CFG), tmp_path / "quiet")["warnings"] == []
+
+    def test_warnings_deduplicated_sorted_and_issued_again(self, tmp_path, monkeypatch):
+        def noisy(cfg, threads, seed):
+            for msg in ("b", "a", "b"):
+                an.pmap(lambda _: warnings.warn(msg, RuntimeWarning), [0, 1], threads)
+            warnings.warn("z", UserWarning)
+            return {}, {}, None
+
+        monkeypatch.setitem(cio._RUNNERS, "exact", noisy)
+        cfg = cio.parse_config(EXACT_CFG)
+        with pytest.warns(Warning) as issued:
+            env = cio.run(cfg, tmp_path, threads=2)
+        assert env["warnings"] == [
+            {"category": "builtins.RuntimeWarning", "message": "a"},
+            {"category": "builtins.RuntimeWarning", "message": "b"},
+            {"category": "builtins.UserWarning", "message": "z"},
+        ]
+        assert sorted((w.category.__name__, str(w.message)) for w in issued) == [
+            ("RuntimeWarning", "a"), ("RuntimeWarning", "b"), ("UserWarning", "z")
+        ]
+
+    def test_blocks_records_that_burn_in_has_no_effect(self, tmp_path):
+        cfg = cio.parse_config(BLOCKS_CFG)
+        envs = []
+        for name, threads in (("a", 1), ("b", 2)):
+            with pytest.warns(cio.IgnoredKeyWarning, match="blocks.burn_in has no effect"):
+                envs.append(cio.run(cfg, tmp_path / name, threads=threads))
+        assert envs[0]["config"]["blocks.burn_in"] == 7  # still parsed and echoed
+        assert envs[0]["warnings"] == envs[1]["warnings"]
+        assert {"category": "ensembles.cli_io.IgnoredKeyWarning",
+                "message": "blocks.burn_in has no effect: the blocks experiment draws exact i.i.d. paths"
+                } in envs[0]["warnings"]
+        assert (tmp_path / "a" / "blocks.csv").read_bytes() == (tmp_path / "b" / "blocks.csv").read_bytes()
 
     def test_mixing_reports_fit_and_passes(self, tmp_path):
         cfg = cio.parse_config(MIXING_CFG)

@@ -75,19 +75,31 @@ class TestStepMatrix:
             kern = mc.make_kernel((1, -1, 0), (0.25, 0.25, 0.5))
         else:
             kern = request.getfixturevalue(kernel)
+        # the candidates a draw weighs for the state j at t + 1, read from
+        # the rows of matrix_t (exact sampler) or from the cached padded
+        # table (block sampler), are the nonzeros of column j of the step
         states = ee.enumerate_states(n, 7)
         step = ee.step_matrix(states, kern, tilt_of())
+        mat_t = step.matrix_t
         pred, probs = step.predecessors
         cols = step.matrix.tocsc()
         counts = np.diff(cols.indptr)
         assert pred.shape == probs.shape == (states.size, counts.max())
-        for j in range(states.size):
-            k = counts[j]
-            src = cols.indices[cols.indptr[j] : cols.indptr[j + 1]]
-            order = np.argsort(-src)
-            assert pred[j, :k].tolist() == src[order].tolist()  # descending source id
-            assert probs[j, :k].tolist() == cols.data[cols.indptr[j] : cols.indptr[j + 1]][order].tolist()
-            assert (pred[j, k:] == -1).all() and (probs[j, k:] == 0.0).all()
+        rng = np.random.default_rng(n)
+        for nxt in (np.arange(states.size), rng.permutation(states.size)[:5]):
+            pos, real = ee.column_candidates(mat_t, nxt)
+            assert pos.shape == real.shape == (nxt.size, counts[nxt].max())
+            for r, j in enumerate(nxt):
+                k = counts[j]
+                src = cols.indices[cols.indptr[j] : cols.indptr[j + 1]]
+                order = np.argsort(-src)  # descending source id
+                p = cols.data[cols.indptr[j] : cols.indptr[j + 1]][order].tolist()
+                assert real[r].tolist() == [True] * k + [False] * (real.shape[1] - k)
+                assert mat_t.indices[pos[r, :k]].tolist() == src[order].tolist()
+                assert mat_t.data[pos[r, :k]].tolist() == p
+                assert pred[j, :k].tolist() == src[order].tolist()
+                assert probs[j, :k].tolist() == p
+                assert (pred[j, k:] == -1).all() and (probs[j, k:] == 0.0).all()
 
     @pytest.mark.parametrize("n,x_max", [(1, 9), (2, 8), (3, 9)])
     def test_successor_blocks_match_per_move_search(self, unit, monkeypatch, n, x_max):
@@ -438,6 +450,24 @@ class TestChainedBackwardRedo:
                 expected[states.id_of(col)] = p
             assert np.abs(d.probs - expected).max() <= 1e-12
 
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @pytest.mark.parametrize("width,u,v", [(6, 3, 4), (7, 3, 3)])
+    def test_exact_sample_matches_brute_force(self, width, u, v):
+        # every candidate of a draw lies far below the largest forward
+        # weight of its time row, so one shift per row weighs them all 0.0
+        eps = 1e-250
+        kernel = mc.make_kernel((-1, 0, 1), (eps, 1 - 2 * eps, eps))
+        spec = bridge_spec(1, 0, width, (u,), (v,), x_max=4)
+        law = brute_law(spec, kernel, 300.0, 2.0, 1.0, list(spec.times))
+        paths = list(law)
+        index = {p: i for i, p in enumerate(paths)}
+        counts = np.zeros(len(paths))
+        for s in ee.exact_sample(spec, kernel, tilt_of(a=300.0, b=2.0, lam=1.0), seed=4, count=500):
+            path = tuple(s.column(t) for t in spec.times)
+            assert path in index and law[path] > 0.0, f"sampled path {path} has zero mass"
+            counts[index[path]] += 1
+        assert chi_square_p(counts, np.array([law[p] for p in paths])) > 0.001
+
 
 class TestConditionalBridgeLaw:
     def test_empty_interior(self, lazy):
@@ -547,6 +577,22 @@ class TestExactSample:
             assert path in index, f"sampled path {path} has zero mass"
             counts[index[path]] += 1
         assert chi_square_p(counts, np.array([law[p] for p in paths])) > 0.001
+
+    def test_sampling_holds_no_copy_of_the_messages(self, unit):
+        # the good-blocks window of half width 20: S = 12246, 41 columns,
+        # so one (width, S) forward array is about 4 MB
+        spec = walk_spec(2, -20, 20, (2, 1), x_max=mc.default_x_max(0.2, 2))
+        res = ee.ensemble_messages(spec, unit, tilt_of(lam=0.2))
+        assert res.states.size == 12246
+        us = np.random.default_rng(0).random((48, ee.sample_draws(spec)))
+        tracemalloc.start()
+        try:
+            heights = ee.sample_heights(res, us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert heights.shape == (48, 2, 41)
+        assert peak < res.forward.nbytes
 
     @pytest.mark.parametrize("boundary", [mc.Bridge(u=(3, 1), v=(4, 2)), mc.Walk(u=(3, 1))])
     def test_sample_i_independent_of_count(self, unit, boundary):

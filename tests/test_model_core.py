@@ -246,5 +246,38 @@ class TestSpecsAndPaths:
         with pytest.raises(ValueError):
             path.heights[0, 1] = 3
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[3, 2, 1], [2, 1, 2]]),  # shape: one curve too many
+            np.array([[3, 2, 4, 4]]),  # shape: one time too many
+            np.array([[3, -1, 4]]),  # a negative height
+            np.array([[2, 2, 4]]),  # left column off u
+            np.array([[3, 2, 3]]),  # right column off v
+        ],
+    )
+    def test_batch_raises_as_single_construction(self, bad):
+        spec = _spec(1, 0, 2, (3,), (4,), x_max=9)
+        good = np.array([[3, 5, 4]])
+        with pytest.raises(ValueError) as single:
+            mc.PathConfig(heights=bad, spec=spec)
+        batch = np.stack([good, bad, good] if bad.shape == good.shape else [bad, bad])
+        with pytest.raises(type(single.value)) as batched:
+            mc.path_configs(batch, spec)
+        assert str(batched.value) == str(single.value)
+
+    def test_batch_equals_single_construction(self):
+        spec = _spec(2, 0, 3, (4, 2), (5, 1), x_max=9)
+        heights = np.array([[[4, 5, 6, 5], [2, 1, 3, 1]], [[4, 4, 4, 5], [2, 3, 2, 1]]])
+        paths = mc.path_configs(heights.copy(), spec)
+        assert len(paths) == 2
+        for p, h in zip(paths, heights):
+            one = mc.PathConfig(heights=h, spec=spec)
+            assert p.spec == one.spec and p.heights.dtype == one.heights.dtype == np.int64
+            assert np.array_equal(p.heights, one.heights)
+            with pytest.raises(ValueError):
+                p.heights[0, 1] = 3
+        assert mc.path_configs(np.zeros((0, 2, 4), dtype=np.int64), spec) == []
+
     def test_default_x_max_rule(self):
         assert mc.default_x_max(0.5, 1) == math.ceil(30 / 0.5 + 1 + 5)
