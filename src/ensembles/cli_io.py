@@ -451,13 +451,13 @@ def _run_sample(cfg: RunConfig, threads: int, seed: int):
     )
     samples, diags = gs.sample_paths(spec, kernel, tilt, params)
     t_center = (spec.m_left + spec.n_right) // 2
-    counts: dict[tuple, int] = {}
-    for s in samples:
-        col = s.column(t_center)
-        counts[col] = counts.get(col, 0) + 1
+    centre = np.array([s.heights[:, spec.col(t_center)] for s in samples]).reshape(-1, spec.n)
     header = [f"x{i+1}" for i in range(spec.n)] + ["count", "freq"]
     total = max(len(samples), 1)
-    rows = [s + (c, c / total) for s, c in sorted(counts.items())]
+    rows = [
+        tuple(map(int, col)) + (int(c), int(c) / total)
+        for col, c in zip(*np.unique(centre, axis=0, return_counts=True))
+    ]
     payload = {
         "kept": diags.kept,
         "chains": diags.chains,

@@ -4,14 +4,19 @@ Each block update is an exact draw from the conditional bridge (or
 conditional walk) law given the block endpoints, so there is no
 acceptance step to tune.  Chains are vectorized internally: a batch of
 independent chains shares the block schedule while every chain consumes
-its own spawned random stream.  A block redraw is a scaled linear-space
-forward pass for all chains on the chamber operator's CSR transpose, then
-one batched backward draw by ``ee.ffbs``: each chain weighs at most
-|offsets|^n predecessor candidates, read from the step's cached (S, K)
-padded table, in linear space against its own scaled forward column.
-The starting configurations are one exact draw (``ee.sample_heights``,
+its own spawned random stream, one row of uniforms per sweep.  A sweep
+runs in colour order: blocks of one colour share at most a pinned
+endpoint, so all of a colour's blocks of one length and end kind are
+redrawn for all chains in one batched call (chromatic Gibbs), block i
+reading the same slice of its chain's row as in a left-to-right scan.
+A batched redraw is a scaled linear-space forward pass on the chamber
+operator's CSR transpose, over a local space sized by the reach of the
+batch's blocks, then one backward draw by ``ee.ffbs``: each row weighs at
+most |offsets|^n predecessor candidates, read from the step's cached
+(S, K) padded table, against its own scaled forward column.  The
+starting configurations are one exact draw (``ee.sample_heights``,
 weighed in log space) from the untilted ensemble.  Kept samples are
-validated once per sweep as a batch.
+stored in one array and validated once per run.
 """
 
 from __future__ import annotations
@@ -138,8 +143,52 @@ def _sweep_draws(spec: EnsembleSpec, blocks) -> int:
     return sum(_block_draws(spec, b) for b in blocks)
 
 
+def _colour_groups(spec: EnsembleSpec, blocks) -> list[tuple[list, list[int]]]:
+    """The schedule's blocks in colour order, as (blocks, offsets) groups
+    of one ``_apply_block_batch`` call each; a block's offset is where its
+    draws start in the sweep's per-chain uniforms.
+
+    A block takes the first colour whose last block ends at or before its
+    start, which on the regular schedule is block index mod
+    ceil(block_len / stride).  Blocks of one colour then share at most a
+    pinned endpoint that none of them redraws, so given the rest of the
+    path they are independent and are redrawn together (chromatic Gibbs,
+    Gonzalez et al. 2011).  A colour splits into one group per block
+    length and end kind."""
+    draws = [_block_draws(spec, b) for b in blocks]
+    offs = np.cumsum([0] + draws[:-1]).tolist()
+    ends: list[int] = []  # the right end of each colour's last block
+    groups: dict[tuple, tuple[list, list[int]]] = {}
+    for (k, l), off in zip(blocks, offs):
+        c = next((c for c, e in enumerate(ends) if e <= k), len(ends))
+        right = spec.n_right + 1 if l is None else l
+        if c == len(ends):
+            ends.append(right)
+        else:
+            ends[c] = right
+        members, member_offs = groups.setdefault((c, l is None, right - k), ([], []))
+        members.append((k, l))
+        member_offs.append(off)
+    return [groups[key] for key in sorted(groups, key=lambda key: key[0])]
+
+
 # ---------------------------------------------------------------------------
 # batched block resampling
+
+
+def _local_cutoff(spec: EnsembleSpec, kernel: Kernel, m: int, start_top: int, end_top: int | None) -> int:
+    """Height cutoff of a block's local space: m steps from a start whose
+    top curve is at most ``start_top``, to a pinned end whose top curve
+    is at most ``end_top`` or to a free end.  A bridge between the ends
+    stays at or below (start_top + end_top + m·max_step) / 2, and the
+    pinned pass zeroes every state above it, so the cutoff changes no
+    draw.  Rounded up to a multiple of 4, so nearby blocks share the
+    cached operator."""
+    if end_top is None:
+        x_loc = start_top + m * kernel.max_step + 2
+    else:
+        x_loc = (start_top + end_top + m * kernel.max_step) // 2 + 2
+    return min(spec.x_max, int(math.ceil(x_loc / 4.0)) * 4)
 
 
 def _apply_block_batch(
@@ -147,44 +196,46 @@ def _apply_block_batch(
     spec: EnsembleSpec,
     kernel: Kernel,
     tilt: TiltSpec,
-    block: tuple[int, int | None],
+    blocks: Sequence[tuple[int, int | None]],
     us: np.ndarray,
-    cursor: int,
-) -> int:
-    """Exact conditional redraw of one block for every chain in the batch.
+    offs: Sequence[int],
+) -> None:
+    """Exact conditional redraw of blocks of one length and end kind for
+    every chain, on one batch axis of chains × blocks (chain-major).
 
     ``heights`` is (chains, n, width) and is modified in place; ``us`` is
-    the per-sweep uniform buffer (chains, draws)."""
-    k, l = block
-    free = l is None
-    m = (spec.n_right - k) if free else (l - k)
-    n_draw = _block_draws(spec, block)
+    the per-sweep uniform buffer (chains, draws), and block i reads its
+    draws from column ``offs[i]`` on.  No block may redraw another's
+    columns or endpoints, as within one colour of ``_colour_groups``."""
+    k0, l0 = blocks[0]
+    free = l0 is None
+    m = (spec.n_right - k0) if free else (l0 - k0)
+    n_draw = _block_draws(spec, blocks[0])
     if n_draw == 0:
-        return cursor
-    col_k = spec.col(k)
-    ends_top = int(heights[:, 0, col_k].max())
-    if not free:
-        ends_top = max(ends_top, int(heights[:, 0, spec.col(l)].max()))
-    x_loc = ends_top + m * kernel.max_step + 2
-    x_loc = min(spec.x_max, int(math.ceil(x_loc / 4.0)) * 4)
+        return
+    cols = np.array([spec.col(k) for k, _ in blocks])[:, None] + np.arange(m + 1)  # (B, m + 1)
+    win = heights[:, :, cols].transpose(0, 2, 1, 3).reshape(-1, spec.n, m + 1)  # (chains·B, n, m + 1)
+    block_us = us[:, np.add.outer(offs, np.arange(n_draw))].reshape(-1, n_draw)
+    end_top = None if free else int(win[:, 0, m].max())
+    x_loc = _local_cutoff(spec, kernel, m, int(win[:, 0, 0].max()), end_top)
     step, tilt_step = _local_transfer(spec.n, x_loc, kernel, tilt)
     states, mat_t, log_tilt = step.states, step.matrix_t, step.log_tilt
 
-    r = heights.shape[0]
-    start = states.ids(heights[:, :, col_k])
+    r = win.shape[0]
+    start = states.ids(win[:, :, 0])
     if not free:
-        end = heights[:, :, spec.col(l)]
+        end = win[:, :, m]
         last = states.ids(end)
         # steps each state needs at least to reach its chain's pinned end
         to_end = np.abs(states.arr.T[:, :, None] - end.T[:, None, :]).max(axis=0)
     # Scaled forward pass in linear space (Rabiner 1989), one column per
-    # chain.  exp(tilt) is shifted per chain by the largest log tilt on its
-    # support, so a chain far above the tilt minimum keeps its column in
-    # range.  The support gains at most tilt_step per step, so the shift is
-    # renewed every `every` steps to keep exponents on it below _EXP_CAP;
-    # the cap itself only keeps states off the support finite.  States
-    # that cannot reach a pinned end are zeroed first, so the shift and
-    # the row scale follow the mass that the bridge can use.
+    # row (a chain's block).  exp(tilt) is shifted per row by the largest
+    # log tilt on its support, so a row far above the tilt minimum keeps
+    # its column in range.  The support gains at most tilt_step per step,
+    # so the shift is renewed every `every` steps to keep exponents on it
+    # below _EXP_CAP; the cap itself only keeps states off the support
+    # finite.  States that cannot reach a pinned end are zeroed first, so
+    # the shift and the row scale follow the mass that the bridge can use.
     every = int(_EXP_CAP // tilt_step) + 1 if tilt_step > 0 else m
     fwd = np.zeros((m, states.size, r))
     fwd[0, start, np.arange(r)] = 1.0
@@ -199,7 +250,7 @@ def _apply_block_batch(
         scale = f.max(axis=0)
         fwd[t] = f / np.where(scale > 0, scale, 1.0)
     if free:
-        last = (mat_t @ fwd[m - 1]).T  # the end's weights, one row per chain
+        last = (mat_t @ fwd[m - 1]).T  # the end's weights, one per row
 
     # a draw's candidates come from the cached (S, K) predecessor table
     pred, probs = step.predecessors
@@ -209,10 +260,10 @@ def _apply_block_batch(
         cand = pred[nxt]  # (R, K); a padding candidate has probability 0
         return cand, fwd[t][cand, chain] * probs[nxt]
 
-    idx = ee.ffbs(m, start, last, us[:, cursor : cursor + n_draw], weigh)
+    idx = ee.ffbs(m, start, last, block_us, weigh)
     stop = m if free else m - 1
-    heights[:, :, col_k + 1 : col_k + stop + 1] = states.arr[idx[1 : stop + 1]].transpose(1, 2, 0)
-    return cursor + n_draw
+    drawn = states.arr[idx[1 : stop + 1]]  # (stop, chains·B, n)
+    heights[:, :, cols[:, 1 : stop + 1]] = drawn.reshape(stop, -1, len(blocks), spec.n).transpose(1, 3, 2, 0)
 
 
 def _sweep_batch(
@@ -223,9 +274,9 @@ def _sweep_batch(
     blocks,
     us: np.ndarray,
 ) -> None:
-    cursor = 0
-    for block in blocks:
-        cursor = _apply_block_batch(heights, spec, kernel, tilt, block, us, cursor)
+    """One sweep in colour order, one batched redraw per colour group."""
+    for group, offs in _colour_groups(spec, blocks):
+        _apply_block_batch(heights, spec, kernel, tilt, group, us, offs)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +352,7 @@ def resample_block(
     n_draw = _block_draws(spec, block)
     heights = config.heights[None, :, :].copy()
     us = rng.random(n_draw)[None, :] if n_draw else np.zeros((1, 0))
-    _apply_block_batch(heights, spec, kernel, tilt, block, us, 0)
+    _apply_block_batch(heights, spec, kernel, tilt, [block], us, [0])
     return config.with_heights(heights[0])
 
 
@@ -312,7 +363,10 @@ def sweep(
     kernel: Kernel,
     rng: np.random.Generator,
 ) -> PathConfig:
-    """One left-to-right pass of overlapping block resamples."""
+    """One pass of overlapping block resamples in colour order: every
+    block of the first colour, then of the next, each colour's blocks
+    redrawn together.  Block i reads its draws from one row of uniforms
+    at its place in the left-to-right schedule."""
     spec = config.spec
     blocks = _blocks_schedule(spec, params)
     n_draw = _sweep_draws(spec, blocks)
@@ -344,9 +398,9 @@ def sample_paths(
     col_c = spec.col(t_center)
     curve_w = tilt.curve_weights(spec.n)
 
-    samples: list[PathConfig] = []
-    x1_series: list[np.ndarray] = []
-    area_series: list[np.ndarray] = []
+    n_kept = -(-params.sweeps // params.thin)
+    kept = np.empty((n_kept, r) + heights.shape[1:], dtype=heights.dtype)  # sweep-major
+    area = np.empty((n_kept, r))
     t0 = time.perf_counter()
     for s_i in range(params.burn_in + params.sweeps):
         if n_draw:
@@ -354,19 +408,18 @@ def sample_paths(
         else:
             us = np.zeros((r, 0))
         _sweep_batch(heights, spec, kernel, tilt, blocks, us)
-        if s_i >= params.burn_in and (s_i - params.burn_in) % params.thin == 0:
-            x1_series.append(heights[:, 0, col_c].copy())
-            body = heights[:, :, :-1].astype(float)
-            v = tilt.potential.value(body)
-            area_series.append(np.einsum("rnt,n->r", v, curve_w))
-            samples.extend(path_configs(heights.copy(), spec))
+        j, off = divmod(s_i - params.burn_in, params.thin)
+        if j >= 0 and off == 0:
+            kept[j] = heights
+            v = tilt.potential.value(heights[:, :, :-1].astype(float))
+            area[j] = np.einsum("rnt,n->r", v, curve_w)
     elapsed = time.perf_counter() - t0
+    samples = path_configs(kept.reshape((-1,) + heights.shape[1:]), spec)
 
     tau: dict = {"x1_center": None, "area": None}
     ess: dict = {"x1_center": None, "area": None}
-    if x1_series:
-        x1 = np.stack(x1_series)  # (kept_per_chain, chains)
-        area = np.stack(area_series)
+    if n_kept:
+        x1 = kept[:, :, 0, col_c]  # (kept_per_chain, chains)
         for name, arr in (("x1_center", x1), ("area", area)):
             taus = []
             for c in range(r):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -165,7 +166,7 @@ class TestSteepTilt:
         cfg = gs.init_config(spec, unit, rng=np.random.default_rng(3))
         heights = np.repeat(cfg.heights[None], 2000, axis=0)
         us = np.random.default_rng(22).random((2000, 10))
-        gs._apply_block_batch(heights, spec, unit, tilt, (0, None), us, 0)
+        gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0])
         counts = np.bincount(
             [res.states.id_of(tuple(h)) for h in heights[:, :, 9]], minlength=res.states.size
         )
@@ -216,6 +217,198 @@ class TestSweep:
         emp = counts / counts.sum()
         exact = ee.marginal_from_messages(res, 2).probs
         assert 0.5 * np.abs(emp - exact).sum() <= 0.02
+
+
+def _colours(spec, blocks):
+    """Each colour group of the sweep as its blocks' schedule indices."""
+    return [[blocks.index(b) for b in group] for group, _ in gs._colour_groups(spec, blocks)]
+
+
+def _interior(spec, block):
+    k, l = block
+    return set(range(k + 1, spec.n_right + 1 if l is None else l))
+
+
+SCHEDULES = [
+    (bridge_spec(1, -10, 10, (1,), (1,), x_max=30), 8, 4),
+    (walk_spec(2, -20, 20, (2, 1), x_max=30), 8, 4),
+    (bridge_spec(1, 0, 8, (1,), (1,), x_max=6), 4, 2),
+    (bridge_spec(1, 0, 23, (1,), (1,), x_max=30), 7, 2),
+    (walk_spec(1, -9, 14, (1,), x_max=30), 9, 5),
+    (walk_spec(1, 0, 3, (1,), x_max=30), 6, 1),
+    (bridge_spec(1, 0, 2, (1,), (1,), x_max=30), 3, 1),
+]
+
+
+class TestColouring:
+    @pytest.mark.parametrize("spec,block_len,overlap", SCHEDULES)
+    def test_groups_cover_schedule_once_in_colour_order(self, spec, block_len, overlap):
+        params = gs.McmcParams(block_len=block_len, overlap=overlap)
+        blocks = gs._blocks_schedule(spec, params)
+        groups = gs._colour_groups(spec, blocks)
+        assert sorted(b for group, _ in groups for b in group) == sorted(blocks)
+        n_colours = math.ceil(block_len / (block_len - overlap))
+        colour_of = [[i % n_colours for i in idx] for idx in _colours(spec, blocks)]
+        assert all(len(set(c)) == 1 for c in colour_of)
+        assert [c[0] for c in colour_of] == sorted(c[0] for c in colour_of)
+        # each block keeps its slice of the sweep's uniforms
+        starts = np.cumsum([0] + [gs._block_draws(spec, b) for b in blocks])
+        for group, offs in groups:
+            assert offs == [starts[blocks.index(b)] for b in group]
+            assert len({gs._block_draws(spec, b) for b in group}) == 1
+            assert len({b[1] is None for b in group}) == 1
+
+    @pytest.mark.parametrize("spec,block_len,overlap", SCHEDULES)
+    def test_blocks_of_one_colour_are_independent(self, spec, block_len, overlap):
+        blocks = gs._blocks_schedule(spec, gs.McmcParams(block_len=block_len, overlap=overlap))
+        n_colours = math.ceil(block_len / (block_len - overlap))
+        colours: dict = {}
+        for idx in _colours(spec, blocks):
+            colours.setdefault(idx[0] % n_colours, []).extend(blocks[i] for i in idx)
+        for colour in colours.values():
+            for a in colour:
+                for b in colour:
+                    if a == b:
+                        continue
+                    assert not _interior(spec, a) & _interior(spec, b)
+                    ends = {b[0]} if b[1] is None else set(b)
+                    assert not ends & _interior(spec, a)
+
+    @pytest.mark.parametrize(
+        "spec,calls",
+        [
+            # criterion 03's schedule: four blocks, two colours
+            (bridge_spec(1, -10, 10, (1,), (1,), x_max=mc.default_x_max(0.3, 1)), 2),
+            # the sample-n2-walk benchmark op: nine blocks, the free one apart
+            (walk_spec(2, -20, 20, (2, 1), x_max=mc.default_x_max(0.3, 2)), 3),
+        ],
+    )
+    def test_batched_redraws_per_sweep(self, unit, monkeypatch, spec, calls):
+        seen = []
+        apply = gs._apply_block_batch
+        monkeypatch.setattr(gs, "_apply_block_batch", lambda *a: seen.append(a[4]) or apply(*a))
+        cfg = gs.init_config(spec, unit)
+        gs.sweep(cfg, gs.McmcParams(block_len=8, overlap=4), tilt_of(lam=0.3), unit, np.random.default_rng(1))
+        assert len(seen) == calls
+        assert sum(len(group) for group in seen) == len(gs._blocks_schedule(spec, gs.McmcParams()))
+
+    def test_grouping_does_not_change_draws(self, unit):
+        spec = walk_spec(2, -20, 20, (2, 1), x_max=60)
+        tilt = tilt_of(lam=0.3)
+        blocks = gs._blocks_schedule(spec, gs.McmcParams(block_len=8, overlap=4))
+        cfg = gs.init_config(spec, unit, rng=np.random.default_rng(6))
+        us = np.random.default_rng(7).random((16, gs._sweep_draws(spec, blocks)))
+        together = np.repeat(cfg.heights[None], 16, axis=0)
+        gs._sweep_batch(together, spec, unit, tilt, blocks, us)
+        one_by_one = np.repeat(cfg.heights[None], 16, axis=0)
+        for group, offs in gs._colour_groups(spec, blocks):
+            for block, off in zip(group, offs):
+                gs._apply_block_batch(one_by_one, spec, unit, tilt, [block], us, [off])
+        assert (together == one_by_one).all()
+        assert (together != cfg.heights).any()
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 8])
+    def test_reach_cutoff_holds_every_bridge(self, unit, m):
+        # the highest a top curve can climb between its ends is
+        # floor((start + end + m * max_step) / 2); the local space must hold it
+        spec = bridge_spec(1, 0, m, (1,), (1,), x_max=10_000)
+        for start in range(1, 40):
+            for end in range(max(1, start - 2 * m), start + 2 * m + 1):
+                cut = gs._local_cutoff(spec, unit, m, start, end)
+                assert cut >= (start + end + 2 * m) // 2
+                assert cut <= gs._local_cutoff(spec, unit, m, max(start, end), None)
+
+    def test_reach_cutoff_draws_as_full_space(self, unit, monkeypatch):
+        # the pinned blocks' local space stops at the bridges' reach; opening
+        # it up to x_max must not change one draw
+        spec = bridge_spec(2, 0, 24, (4, 2), (4, 2), x_max=48)
+        tilt = tilt_of(lam=0.2)
+        blocks = gs._blocks_schedule(spec, gs.McmcParams(block_len=8, overlap=4))
+        cfg = gs.init_config(spec, unit, rng=np.random.default_rng(8))
+        us = np.random.default_rng(9).random((64, gs._sweep_draws(spec, blocks)))
+        reach = gs._local_cutoff
+        out, cutoffs = [], []
+        for full in (False, True):
+
+            def cutoff(spec, *args, full=full):
+                cutoffs.append(spec.x_max if full else reach(spec, *args))
+                return cutoffs[-1]
+
+            monkeypatch.setattr(gs, "_local_cutoff", cutoff)
+            heights = np.repeat(cfg.heights[None], 64, axis=0)
+            for _ in range(3):
+                gs._sweep_batch(heights, spec, unit, tilt, blocks, us)
+            out.append(heights)
+        assert max(cutoffs[: len(cutoffs) // 2]) < spec.x_max
+        assert (out[0] == out[1]).all()
+
+
+class TestColouredSweepKernel:
+    """One coloured sweep against its path-to-path transition matrix,
+    built from the brute-force enumerator: n = 1, an 8-step bridge, blocks
+    of 4 overlapping by 2, so one colour redraws (0, 4) and (4, 8)
+    together around their shared pinned end."""
+
+    A, B, LAM = 1.0, 2.0, 0.5
+
+    def _kernel_matrices(self, spec, kernel, blocks):
+        import itertools
+
+        from conftest import hand_area, iter_paths, path_log_prob
+
+        paths = [cols for cols, _ in iter_paths(spec, kernel)]
+        index = {p: i for i, p in enumerate(paths)}
+        log_w = np.array([path_log_prob(p, kernel) - hand_area(p, self.A, self.B, self.LAM) for p in paths])
+        pi = np.exp(log_w - log_w.max())
+        pi /= pi.sum()
+        # the conditional law of a block's interior given everything else
+        cond = {}
+        for k, l in blocks:
+            classes: dict = {}
+            for p, w in zip(paths, pi):
+                classes.setdefault(p[: k + 1] + p[l:], []).append((p[k + 1 : l], w))
+            cond[(k, l)] = {
+                key: [(inner, w / sum(w for _, w in opts)) for inner, w in opts] for key, opts in classes.items()
+            }
+        mats = []
+        for group, _ in gs._colour_groups(spec, blocks):
+            mat = np.zeros((len(paths), len(paths)))
+            for i, x in enumerate(paths):
+                choices = [cond[(k, l)][x[: k + 1] + x[l:]] for k, l in group]
+                for combo in itertools.product(*choices):
+                    y = list(x)
+                    prob = 1.0
+                    for (k, l), (inner, q) in zip(group, combo):
+                        y[k + 1 : l] = inner
+                        prob *= q
+                    mat[i, index[tuple(y)]] += prob
+            mats.append(mat)
+        return paths, index, pi, mats
+
+    def test_one_sweep_is_exactly_invariant_and_draws_its_row(self, lazy):
+        from conftest import chi_square_p
+
+        spec = bridge_spec(1, 0, 8, (2,), (2,), x_max=5)
+        params = gs.McmcParams(block_len=4, overlap=2)
+        blocks = gs._blocks_schedule(spec, params)
+        assert [g for g, _ in gs._colour_groups(spec, blocks)] == [[(0, 4), (4, 8)], [(2, 6)]]
+        paths, index, pi, mats = self._kernel_matrices(spec, lazy, blocks)
+        sweep = np.linalg.multi_dot(mats)
+        assert np.abs(sweep.sum(axis=1) - 1.0).max() <= 1e-12
+        for mat in mats + [sweep]:
+            assert np.abs(pi @ mat - pi).max() <= 1e-12
+
+        start = max(paths, key=lambda p: sum(p[4]))  # a high path, far from typical
+        cfg = mc.PathConfig(heights=np.array(start).T, spec=spec)
+        chains = 20_000
+        heights = np.repeat(cfg.heights[None], chains, axis=0)
+        us = np.random.default_rng(31).random((chains, gs._sweep_draws(spec, blocks)))
+        tilt = tilt_of(a=self.A, b=self.B, lam=self.LAM)
+        gs._sweep_batch(heights, spec, lazy, tilt, blocks, us)
+        counts = np.bincount(
+            [index[tuple(map(tuple, h.T))] for h in heights], minlength=len(paths)
+        )
+        assert chi_square_p(counts, sweep[index[start]]) > 0.001
 
 
 class TestSamplePaths:
