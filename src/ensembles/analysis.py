@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -214,7 +214,6 @@ def invariance_check(
     boundary: str = "bridge",
     u_cont: Sequence[float] = (1.0,),
     dx: float = 0.05,
-    t_restrict: float = 0.0,
     height_cap: float | None = None,
     threads: int = 1,
 ) -> InvarianceReport:
@@ -230,8 +229,6 @@ def invariance_check(
     mapped over ``threads``."""
     if boundary not in ("walk", "bridge"):
         raise ValueError("boundary must be 'walk' or 'bridge'")
-    if t_restrict > m_cont:
-        raise ValueError("restriction width must satisfy t_restrict <= m_cont")
     if len(u_cont) != n:
         raise ValueError("u_cont must have n entries")
     sigma = kernel.sigma
@@ -280,7 +277,6 @@ class ConvergenceReport:
 def convergence_to_mu(
     n: int,
     lambda_list: Sequence[float],
-    a_rule: Callable[[float], int] | None,
     kernel: Kernel,
     tilt_a: float,
     tilt_b: float,
@@ -292,7 +288,7 @@ def convergence_to_mu(
 ) -> ConvergenceReport:
     """Binned TV between the rescaled top-curve marginal at t = 0 and the
     stationary density of the polymer oracle, along a lambda sequence with
-    lattice half-width N = a_rule(lambda) (default: round(1/lambda)).  The
+    lattice half-width N = max(round(1/lambda), 1).  The
     target is solved once; the lambda points are mapped over ``threads``."""
     if boundary_mode == "both":
         modes = ("walk", "bridge")
@@ -300,8 +296,6 @@ def convergence_to_mu(
         modes = (boundary_mode,)
     else:
         raise ValueError("boundary_mode must be walk, bridge, or both")
-    if a_rule is None:
-        a_rule = lambda lam: max(int(round(1.0 / lam)), 1)
     sigma = kernel.sigma
     a_eff = tilt_a * sigma
     if height_cap is None:
@@ -315,7 +309,7 @@ def convergence_to_mu(
     u = tuple(range(top, top - n, -1))
 
     def point(lam):
-        half = a_rule(lam)
+        half = max(int(round(1.0 / lam)), 1)
         pot = linear_potential(lam)
         tilt = TiltSpec(a=tilt_a, b=tilt_b, potential=pot)
         scale = h_scale(pot)

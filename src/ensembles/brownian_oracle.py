@@ -250,11 +250,11 @@ def _boundary_vectors(
     f0 = np.full(states.size, NEG_INF)
     bT = np.full(states.size, NEG_INF)
     if isinstance(boundary, ZeroBC):
-        f0[states.id_of(_min_state(n))] = 0.0
-        bT[states.id_of(_min_state(n))] = 0.0
+        f0[states.ids(_min_state(n))] = 0.0
+        bT[states.ids(_min_state(n))] = 0.0
         return f0, bT
     if isinstance(boundary, FreeRight):
-        f0[states.id_of(_min_state(n))] = 0.0
+        f0[states.ids(_min_state(n))] = 0.0
         bT[:] = log_free
         return f0, bT
     if isinstance(boundary, FreeBoth):
@@ -262,11 +262,11 @@ def _boundary_vectors(
         bT[:] = log_free
         return f0, bT
     if isinstance(boundary, Fixed):
-        f0[states.id_of(snap_to_chamber(boundary.u, grid.dx, grid.n_sites))] = 0.0
+        f0[states.ids(snap_to_chamber(boundary.u, grid.dx, grid.n_sites))] = 0.0
         if boundary.v is None:
             bT[:] = log_free
         else:
-            bT[states.id_of(snap_to_chamber(boundary.v, grid.dx, grid.n_sites))] = 0.0
+            bT[states.ids(snap_to_chamber(boundary.v, grid.dx, grid.n_sites))] = 0.0
         return f0, bT
     raise TypeError(f"unknown boundary mode {boundary!r}")
 

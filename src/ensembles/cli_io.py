@@ -343,11 +343,28 @@ def build_spec(cfg: RunConfig) -> mc.EnsembleSpec:
     )
 
 
+def build_mcmc_params(cfg: RunConfig, seed: int) -> gs.McmcParams:
+    return gs.McmcParams(
+        block_len=cfg["mcmc.block_len"],
+        overlap=cfg["mcmc.overlap"],
+        sweeps=cfg["mcmc.sweeps"],
+        burn_in=cfg["mcmc.burn_in"],
+        thin=cfg["mcmc.thin"],
+        seed=seed,
+        chains=cfg["mcmc.chains"],
+    )
+
+
 def _validate_config(cfg: RunConfig) -> None:
     exp = cfg.experiment
-    if exp not in ("oracle", "dominance") or cfg.get("kernel.preset") or cfg.get("kernel.offsets"):
-        if exp != "oracle":
-            build_kernel(cfg)
+    # dominance needs a kernel only when it names one or checks the walk side
+    if exp != "oracle" and (
+        exp != "dominance"
+        or cfg.get("kernel.preset")
+        or cfg.get("kernel.offsets")
+        or cfg.get("dominance.walk_side")
+    ):
+        build_kernel(cfg)
     if "model.a" in cfg.values and "model.b" in cfg.values:
         lam = cfg.get("model.lambda")
         if lam is not None:
@@ -357,19 +374,9 @@ def _validate_config(cfg: RunConfig) -> None:
     if exp in ("exact", "sample"):
         build_spec(cfg)
     if exp == "sample":
-        gs.McmcParams(
-            block_len=cfg["mcmc.block_len"],
-            overlap=cfg["mcmc.overlap"],
-            sweeps=cfg["mcmc.sweeps"],
-            burn_in=cfg["mcmc.burn_in"],
-            thin=cfg["mcmc.thin"],
-            seed=cfg.get("seed", 0),
-            chains=cfg["mcmc.chains"],
-        )
-    if exp == "dominance" and cfg.get("dominance.walk_side"):
-        if cfg.get("model.lambda") is None:
-            raise MissingRequired("dominance.walk_side needs model.lambda")
-        build_kernel(cfg)
+        build_mcmc_params(cfg, cfg.get("seed", 0))
+    if exp == "dominance" and cfg.get("dominance.walk_side") and cfg.get("model.lambda") is None:
+        raise MissingRequired("dominance.walk_side needs model.lambda")
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +439,7 @@ def _run_exact(cfg: RunConfig, threads: int, seed: int):
         "x_max": spec.x_max,
     }
     header = [f"x{i+1}" for i in range(spec.n)] + ["prob"]
-    rows = [tuple(s) + (p,) for s, p in zip(res.states.states, dist.probs) if p > 0.0]
+    rows = [tuple(s) + (p,) for s, p in zip(res.states.arr.tolist(), dist.probs) if p > 0.0]
     return payload, {"marginal": (header, rows)}, None
 
 
@@ -440,16 +447,7 @@ def _run_sample(cfg: RunConfig, threads: int, seed: int):
     kernel = build_kernel(cfg)
     tilt = build_tilt(cfg)
     spec = build_spec(cfg)
-    params = gs.McmcParams(
-        block_len=cfg["mcmc.block_len"],
-        overlap=cfg["mcmc.overlap"],
-        sweeps=cfg["mcmc.sweeps"],
-        burn_in=cfg["mcmc.burn_in"],
-        thin=cfg["mcmc.thin"],
-        seed=seed,
-        chains=cfg["mcmc.chains"],
-    )
-    samples, diags = gs.sample_paths(spec, kernel, tilt, params)
+    samples, diags = gs.sample_paths(spec, kernel, tilt, build_mcmc_params(cfg, seed))
     t_center = (spec.m_left + spec.n_right) // 2
     centre = np.array([s.heights[:, spec.col(t_center)] for s in samples]).reshape(-1, spec.n)
     header = [f"x{i+1}" for i in range(spec.n)] + ["count", "freq"]
@@ -512,7 +510,7 @@ def _run_invariance(cfg: RunConfig, threads: int, seed: int):
 
 def _run_converge(cfg: RunConfig, threads: int, seed: int):
     rep = an.convergence_to_mu(
-        cfg["model.n"], list(cfg["converge.lambda_list"]), None, build_kernel(cfg),
+        cfg["model.n"], list(cfg["converge.lambda_list"]), build_kernel(cfg),
         cfg["model.a"], cfg["model.b"],
         boundary_mode=cfg["converge.mode"], dx=cfg["oracle.dx"],
         height_cap=cfg["oracle.height_cap"] or None,

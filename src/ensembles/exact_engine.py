@@ -77,16 +77,17 @@ def state_budget() -> float:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """All strictly decreasing n-tuples in {1..x_max}, in lexicographic order.
+    """All strictly decreasing n-tuples in {1..x_max}, in lexicographic
+    order, as the rows of the read-only (S, n) array ``arr``.
 
     A column's key reads its heights as base-(x_max + 1) digits, so the
-    sorted ``keys`` are the states' keys in id order."""
+    sorted ``keys`` are the states' keys in id order; ``ids`` looks
+    columns up by key.  ``id_of`` and its ``index`` dict, built on first
+    use, look up one tuple at a time."""
 
     n: int
     x_max: int
-    states: tuple[tuple[int, ...], ...]
     arr: np.ndarray = field(compare=False, repr=False)
-    index: dict = field(compare=False, repr=False)
     keys: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -96,7 +97,7 @@ class StateSpace:
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.arr)
 
     @property
     def space_key(self) -> tuple:
@@ -106,6 +107,10 @@ class StateSpace:
         """Keys of a (..., n) integer array of columns.  The key is linear,
         so a move's key is the difference of its target's and source's."""
         return cols @ (self.x_max + 1) ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {s: i for i, s in enumerate(map(tuple, self.arr.tolist()))}
 
     def id_of(self, state: Sequence[int]) -> int:
         key = tuple(int(x) for x in state)
@@ -130,6 +135,8 @@ class StateSpace:
 def enumerate_states(n: int, x_max: int, max_states: float | None = None) -> StateSpace:
     """Enumerate the truncated ordered state space.
 
+    The combinations of x_max, ..., 1 come in reverse lexicographic order
+    of the decreasing tuples, so the enumeration is read backwards.
     Raises TooLarge when C(x_max, n) exceeds the budget.
     """
     if not 1 <= n <= x_max:
@@ -138,11 +145,10 @@ def enumerate_states(n: int, x_max: int, max_states: float | None = None) -> Sta
     budget = state_budget() if max_states is None else max_states
     if count > budget:
         raise TooLarge(f"C({x_max},{n}) = {count} states exceeds budget {budget:g}")
-    states = sorted(tuple(reversed(c)) for c in itertools.combinations(range(1, x_max + 1), n))
-    arr = np.array(states, dtype=np.int64).reshape(count, n)
+    combos = itertools.combinations(range(x_max, 0, -1), n)
+    arr = np.fromiter(combos, dtype=np.dtype((np.int64, n)), count=count)[::-1].copy()
     arr.flags.writeable = False
-    index = {s: i for i, s in enumerate(states)}
-    return StateSpace(n=n, x_max=x_max, states=tuple(states), arr=arr, index=index)
+    return StateSpace(n=n, x_max=x_max, arr=arr)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +228,7 @@ def _log_rows(mat: sp.csr_matrix, rows, log_v: np.ndarray) -> np.ndarray:
 
 def tilt_log_vector(states: StateSpace, tilt: TiltSpec) -> np.ndarray:
     """Per-state log tilt factor -a * sum_i b^(i-1) V(x_i), charged per step."""
-    w = tilt.curve_weights(states.n)
-    v = tilt.potential.value(states.arr.astype(float))
-    v = v.reshape(states.size, states.n)
-    return -(v @ w)
+    return -(tilt.potential.value(states.arr) @ tilt.curve_weights(states.n))
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,8 @@ class TransferStep:
         object.__setattr__(self, "matrix_t", self.matrix.T.tocsr())
 
     def entry(self, s_from: Sequence[int], s_to: Sequence[int]) -> float:
-        i = self.states.id_of(s_from)
-        j = self.states.id_of(s_to)
+        i = self.states.ids(s_from)
+        j = self.states.ids(s_to)
         return float(self.matrix[i, j]) * math.exp(self.log_tilt[i])
 
     @cached_property
@@ -351,7 +354,7 @@ def _compute_messages(spec: EnsembleSpec, kernel: Kernel, step: TransferStep) ->
     states, mat, mat_t, log_tilt = step.states, step.matrix, step.matrix_t, step.log_tilt
     w = spec.width
     s = states.size
-    start = states.id_of(spec.boundary.u)
+    start = states.ids(spec.boundary.u)
     # la.log_mat_vec shifts its input by one maximum, so a row whose terms all
     # lie far below it comes out subnormal or -inf while its true value is
     # under that step's `ceiling`.  Such a row is redone in log space where it
@@ -360,7 +363,7 @@ def _compute_messages(spec: EnsembleSpec, kernel: Kernel, step: TransferStep) ->
     # the backward pass is then run again against the finished forward.
     backward = np.full((w, s), NEG_INF)
     if isinstance(spec.boundary, Bridge):
-        backward[-1, states.id_of(spec.boundary.v)] = 0.0
+        backward[-1, states.ids(spec.boundary.v)] = 0.0
     else:
         backward[-1] = 0.0
     shift = np.full(w, NEG_INF)  # shift[t]: the maximum of backward[t + 1]
@@ -601,8 +604,8 @@ def conditional_bridge_law(
         raise ValueError("need m_left <= K < L <= n_right")
     res = ensemble_messages(spec, kernel, tilt)
     states = res.states
-    i_k = states.id_of(endpoints[0])
-    i_l = states.id_of(endpoints[1])
+    i_k = states.ids(endpoints[0])
+    i_l = states.ids(endpoints[1])
 
     # (a) condition the global joint law on the endpoints: the chain over
     # {K..L} starts from the forward weight of the one state at K and ends
@@ -725,10 +728,10 @@ def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
         return cand, _shifted_exp(log_w)
 
     if isinstance(spec.boundary, Bridge):
-        last = states.id_of(spec.boundary.v)
+        last = states.ids(spec.boundary.v)
     else:
         last = _shifted_exp(forward[-1][None, :])
-    ids = ffbs(spec.width - 1, states.id_of(spec.boundary.u), last, us, weigh)
+    ids = ffbs(spec.width - 1, states.ids(spec.boundary.u), last, us, weigh)
     return np.ascontiguousarray(states.arr[ids].transpose(1, 2, 0))
 
 

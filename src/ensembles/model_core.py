@@ -1,5 +1,6 @@
-"""Core model objects: step kernels, confining potentials, area tilts,
-ensemble windows, path configurations, and the diffusive rescaling.
+"""Core model objects: step kernels, the linear potential V(x) = lambda*x
+and its area tilts, ensemble windows, path configurations, and the
+diffusive rescaling at H = lambda^(-1/3).
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
@@ -8,7 +9,7 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,10 +32,6 @@ class NonzeroMean(KernelError):
 
 class NotIrreducible(KernelError):
     """Step support does not generate the full integer lattice."""
-
-
-class NoRoot(ValueError):
-    """The scale equation H^2 V(H) = 1 has no solution for this potential."""
 
 
 class OutOfRange(ValueError):
@@ -124,78 +121,22 @@ KERNEL_PRESETS: dict[str, Callable[[], Kernel]] = {
 
 @dataclass(frozen=True)
 class Potential:
-    """Confining potential V(x): zero at the wall, non-decreasing, unbounded.
+    """The linear potential V(x) = lam * x of the area tilt, lam > 0: zero
+    at the wall, increasing, unbounded."""
 
-    ``kind`` is "linear" (V(x) = lambda*x) or "table" (piecewise-linear
-    through sample points, linearly extrapolated above the last point).
-    Table values are the potential at the stored ``lam``; moving to a new
-    lambda rescales them proportionally (``with_lambda``).
-    """
-
-    kind: str
     lam: float
-    xs: tuple[float, ...] = ()
-    vs: tuple[float, ...] = ()
-    q0: Callable[[float], float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.lam <= 0.0:
             raise ValueError("lambda must be positive")
-        if self.kind == "linear":
-            return
-        if self.kind != "table":
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-        if len(self.xs) != len(self.vs) or len(self.xs) < 2:
-            raise ValueError("table potential needs >= 2 (x, V) samples")
-        if self.xs[0] != 0.0 or self.vs[0] != 0.0:
-            raise ValueError("table must start at (0, 0): V(0) = 0 is required")
-        if any(b < a for a, b in zip(self.xs, self.xs[1:])):
-            raise ValueError("table x values must be increasing")
-        if any(b < a for a, b in zip(self.vs, self.vs[1:])):
-            raise ValueError("table V values must be non-decreasing")
-        if not self.vs[-1] > self.vs[0]:
-            raise ValueError("last table value must strictly exceed the first")
-        if self.vs[-1] <= self.vs[-2]:
-            raise ValueError("extrapolation slope must be increasing")
 
     def value(self, x):
         """Evaluate V at x (scalar or array), x >= 0."""
-        if self.kind == "linear":
-            return self.lam * np.asarray(x, dtype=float)
-        xs = np.asarray(self.xs)
-        vs = np.asarray(self.vs)
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, xs, vs)
-        slope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
-        above = x > xs[-1]
-        out = np.where(above, vs[-1] + slope * (x - xs[-1]), out)
-        return out if out.ndim else float(out)
-
-    def with_lambda(self, lam: float) -> "Potential":
-        """Same potential family at a different tilt strength."""
-        if self.kind == "linear":
-            return Potential(kind="linear", lam=lam, q0=self.q0)
-        scale = lam / self.lam
-        return Potential(
-            kind="table",
-            lam=lam,
-            xs=self.xs,
-            vs=tuple(v * scale for v in self.vs),
-            q0=self.q0,
-        )
+        return self.lam * np.asarray(x, dtype=float)
 
 
-def linear_potential(lam: float, q0: Callable[[float], float] | None = None) -> Potential:
-    return Potential(kind="linear", lam=lam, q0=q0)
-
-
-def table_potential(
-    xs: Sequence[float],
-    vs: Sequence[float],
-    lam: float,
-    q0: Callable[[float], float] | None = None,
-) -> Potential:
-    return Potential(kind="table", lam=lam, xs=tuple(map(float, xs)), vs=tuple(map(float, vs)), q0=q0)
+def linear_potential(lam: float) -> Potential:
+    return Potential(lam=lam)
 
 
 @dataclass(frozen=True)
@@ -352,41 +293,8 @@ class ScaleInfo:
 
 
 def h_scale(potential: Potential) -> ScaleInfo:
-    """Solve H^2 V(H) = 1 for the spatial scale H.
-
-    Linear potentials use the closed form H = lambda^(-1/3); table
-    potentials are solved by bracketing bisection to 1e-12 relative
-    tolerance.  Raises NoRoot for degenerate tables.
-    """
-    if potential.kind == "linear":
-        h = potential.lam ** (-1.0 / 3.0)
-        return ScaleInfo(lam=potential.lam, h_big=h, h_small=1.0 / h)
-
-    def g(h: float) -> float:
-        return h * h * float(potential.value(h)) - 1.0
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if g(hi) >= 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise NoRoot("H^2 V(H) never reaches 1; table potential is degenerate")
-    while lo > 0.0 and g(lo) > 0.0:
-        hi = lo
-        lo /= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    h = 0.5 * (lo + hi)
-    if not h > 0.0 or not math.isfinite(h):
-        raise NoRoot("bisection failed to locate a positive root")
+    """The spatial scale H solving H^2 V(H) = 1: H = lambda^(-1/3)."""
+    h = potential.lam ** (-1.0 / 3.0)
     return ScaleInfo(lam=potential.lam, h_big=h, h_small=1.0 / h)
 
 
@@ -405,7 +313,7 @@ def area_functional(path, tilt: TiltSpec) -> float:
     right edge of the window: a * sum_i b^(i-1) * sum_{j<N} V(X_i(j))."""
     h = _heights_of(path)
     body = np.asarray(h[:, :-1], dtype=float)
-    per_curve = tilt.potential.value(body).reshape(body.shape).sum(axis=1)
+    per_curve = tilt.potential.value(body).sum(axis=1)
     return float(np.dot(tilt.curve_weights(h.shape[0]), per_curve))
 
 

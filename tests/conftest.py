@@ -125,14 +125,15 @@ def random_admissible_path(rng, n, x_max, width, kernel):
 
     states = ee.enumerate_states(n, x_max)
     dense = ee.step_matrix(states, kernel).matrix.toarray()
+    chamber = list(map(tuple, states.arr.tolist()))
     cur = int(rng.integers(0, states.size))
-    cols = [states.states[cur]]
+    cols = [chamber[cur]]
     for _ in range(width):
         nxt = np.nonzero(dense[cur] > 0)[0]
         if nxt.size == 0:
             return None
         cur = int(rng.choice(nxt))
-        cols.append(states.states[cur])
+        cols.append(chamber[cur])
     return cols
 
 

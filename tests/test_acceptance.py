@@ -174,7 +174,7 @@ def test_06_convergence_to_stationary():
     t0 = time.perf_counter()
     kernel = mc.unit_walk()
     rep = an.convergence_to_mu(
-        1, [0.5, 0.3, 0.2], None, kernel, 1.0, 2.0, boundary_mode="both", dx=0.05, u_top=3
+        1, [0.5, 0.3, 0.2], kernel, 1.0, 2.0, boundary_mode="both", dx=0.05, u_top=3
     )
     walk = [e["walk"] for _, e in rep.points]
     bridge = [e["bridge"] for _, e in rep.points]

@@ -85,10 +85,6 @@ class TestMixingCurve:
 
 
 class TestInvariance:
-    def test_restriction_beyond_window_rejected(self, unit):
-        with pytest.raises(ValueError):
-            an.invariance_check(1, 1.0, [0.4], unit, 1.0, 2.0, t_restrict=1.5)
-
     def test_distance_decreases_on_standard_instance(self, unit):
         rep = an.invariance_check(
             1, 1.0, [0.4, 0.2], unit, 1.0, 2.0, boundary="bridge", u_cont=(1.0,), dx=0.025
@@ -118,7 +114,7 @@ class TestInvariance:
 class TestConvergence:
     def test_trend_and_mode_agreement(self, unit):
         rep = an.convergence_to_mu(
-            1, [0.5, 0.3, 0.2], None, unit, 1.0, 2.0, boundary_mode="both", dx=0.05, u_top=3
+            1, [0.5, 0.3, 0.2], unit, 1.0, 2.0, boundary_mode="both", dx=0.05, u_top=3
         )
         walk = [e["walk"] for _, e in rep.points]
         bridge = [e["bridge"] for _, e in rep.points]
@@ -130,7 +126,7 @@ class TestConvergence:
         tvs = {}
         for top in (1, 3):
             rep = an.convergence_to_mu(
-                1, [0.5, 0.2], None, unit, 1.0, 2.0, boundary_mode="bridge", dx=0.05, u_top=top
+                1, [0.5, 0.2], unit, 1.0, 2.0, boundary_mode="bridge", dx=0.05, u_top=top
             )
             tvs[top] = [e["bridge"] for _, e in rep.points]
         first_gap = abs(tvs[1][0] - tvs[3][0])

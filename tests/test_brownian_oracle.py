@@ -35,7 +35,7 @@ def killed_stencil_matrix(states):
     w /= w.sum()
     g = np.zeros((states.size, states.size))
     for i, j in itertools.product(range(states.size), repeat=2):
-        d = np.array(states.states[j]) - np.array(states.states[i])
+        d = states.arr[j] - states.arr[i]
         if np.all(np.abs(d) <= bo.STENCIL_REACH):
             g[i, j] = np.prod(w[d + bo.STENCIL_REACH])
     return g

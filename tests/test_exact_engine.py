@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_law, brute_partition, chi_square_p, hand_area, iter_paths
+from ensembles import brownian_oracle as bo
 from ensembles import exact_engine as ee
+from ensembles import gibbs_sampler as gs
 from ensembles import model_core as mc
 
 
@@ -32,8 +34,16 @@ class TestStateSpace:
 
     def test_lexicographic_deterministic(self):
         s = ee.enumerate_states(2, 4)
-        assert s.states == ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3))
-        assert [s.id_of(t) for t in s.states] == list(range(6))
+        assert s.arr.tolist() == [[2, 1], [3, 1], [3, 2], [4, 1], [4, 2], [4, 3]]
+        assert [s.id_of(t) for t in s.arr] == list(range(6))
+
+    @pytest.mark.parametrize("n,x_max", [(1, 1), (1, 7), (2, 2), (2, 9), (3, 3), (3, 10), (4, 4), (4, 11)])
+    def test_enumeration_matches_sorted_tuples(self, n, x_max):
+        reference = sorted(tuple(reversed(c)) for c in itertools.combinations(range(1, x_max + 1), n))
+        s = ee.enumerate_states(n, x_max)
+        assert s.arr.dtype == np.int64 and s.arr.shape == (len(reference), n)
+        assert s.arr.tolist() == [list(t) for t in reference]
+        assert not s.arr.flags.writeable
 
     def test_budget(self):
         with pytest.raises(ee.TooLarge):
@@ -55,6 +65,51 @@ class TestStateSpace:
         s = ee.enumerate_states(2, 4)
         with pytest.raises(ValueError, match="not a state"):
             s.ids(np.array([(4, 3), col]))
+
+
+
+LIBRARY_LOOKUPS = {
+    "ensemble_messages": lambda k: ee.ensemble_messages(bridge_spec(2, 0, 6, (4, 2), (3, 1), 9), k, tilt_of()),
+    "exact_sample": lambda k: ee.exact_sample(walk_spec(2, 0, 6, (4, 2), 9), k, tilt_of(), seed=1, count=3),
+    "conditional_bridge_law": lambda k: ee.conditional_bridge_law(
+        walk_spec(2, 0, 6, (4, 2), 9), k, tilt_of(), 1, 4, ((3, 1), (4, 1))
+    ),
+    "sample_paths": lambda k: gs.sample_paths(
+        bridge_spec(2, 0, 8, (4, 2), (3, 1), 9), k, tilt_of(),
+        gs.McmcParams(block_len=4, overlap=2, sweeps=3, burn_in=1, chains=2),
+    ),
+    "polymer_marginal": lambda k: bo.polymer_marginal(
+        2, 1.0, 2.0, bo.GridSpec(dx=0.25, height_cap=2.0, m_half=0.5), bo.Fixed(u=(1.0, 0.5), v=(0.75, 0.25)), 0.0
+    ),
+}
+
+
+class TestLookups:
+    """The library looks states up with ``ids``: the ``index`` dict behind
+    ``id_of`` is only built for callers that look up one tuple at a time."""
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @pytest.mark.parametrize("name", sorted(LIBRARY_LOOKUPS))
+    def test_library_never_builds_the_index(self, lazy, monkeypatch, name):
+        made = []
+        real = ee.enumerate_states
+        monkeypatch.setattr(ee, "enumerate_states", lambda *a, **kw: made.append(real(*a, **kw)) or made[-1])
+        gs._local_transfer.cache_clear()
+        bo._chamber_box.cache_clear()
+        try:
+            LIBRARY_LOOKUPS[name](lazy)
+        finally:
+            gs._local_transfer.cache_clear()
+            bo._chamber_box.cache_clear()
+        assert made
+        assert all("index" not in states.__dict__ for states in made)
+
+    def test_id_of_builds_the_index_once(self):
+        s = ee.enumerate_states(2, 5)
+        assert "index" not in s.__dict__
+        assert s.id_of((5, 4)) == s.size - 1
+        index = s.__dict__["index"]
+        assert s.id_of((2, 1)) == 0 and s.__dict__["index"] is index
 
 
 class TestStepMatrix:
@@ -107,7 +162,7 @@ class TestStepMatrix:
         states = ee.enumerate_states(n, x_max)
         succ, probs = ee._successor_table(states, unit)
         for k, combo in enumerate(itertools.product(unit.offsets, repeat=n)):
-            for i, state in enumerate(states.states):
+            for i, state in enumerate(states.arr.tolist()):
                 tgt = tuple(x + d for x, d in zip(state, combo))
                 assert succ[i, k] == (states.index[tgt] if tgt in states.index else -1)
             assert probs[k] == pytest.approx(math.prod(unit.prob(d) for d in combo), rel=1e-15)
@@ -297,11 +352,27 @@ class TestLaws:
 
 
 @st.composite
-def law_cases(draw):
-    """A small bridge or walk (n <= 2, width <= 6, one of the preset
-    kernels) with one to three distinct times, and, for a bridge, an end
-    that some path reaches."""
-    kernel = draw(st.sampled_from([mc.simple_walk(), mc.lazy_walk(), mc.unit_walk()]))
+def random_kernels(draw):
+    """A symmetric kernel reaching 1 or 2, with or without a zero step,
+    and random positive weights; symmetric weights make the mean exactly 0."""
+    reach = draw(st.integers(1, 2))
+    weights = {z: draw(st.floats(0.05, 1.0)) for z in range(1, reach + 1)}
+    if draw(st.booleans()):
+        weights[0] = draw(st.floats(0.05, 1.0))
+    total = sum(weights.values()) + sum(w for z, w in weights.items() if z)
+    steps = sorted({z for z in weights} | {-z for z in weights})
+    return mc.make_kernel(steps, [weights[abs(z)] / total for z in steps])
+
+
+PRESET_KERNELS = st.sampled_from([mc.simple_walk(), mc.lazy_walk(), mc.unit_walk()])
+
+
+@st.composite
+def law_cases(draw, kernels=PRESET_KERNELS):
+    """A small bridge or walk (n <= 2, width <= 6, a kernel drawn from
+    ``kernels``) with one to three distinct times, and, for a bridge, an
+    end that some path reaches."""
+    kernel = draw(kernels)
     n = draw(st.integers(1, 2))
     x_max = draw(st.integers(n + 1, n + 3))
     gaps = draw(st.lists(st.integers(1, 3), max_size=2))
@@ -350,6 +421,13 @@ class TestLawProperties:
                 expected[tuple(states.id_of(c) for c in key[1:-1])] += p
         assert np.abs(cond.law.probs - expected.ravel() / expected.sum()).max() <= 1e-12
         assert cond.diagnostic_tv <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(law_cases(random_kernels()))
+    def test_random_kernel_laws_match_brute_force(self, case):
+        # the preset test's checks, run on symmetric kernels with random weights
+        type(self).test_laws_match_brute_force.hypothesis.inner_test(self, case)
 
 
 class TestMarginal:

@@ -48,41 +48,17 @@ class TestHScale:
         s = mc.h_scale(mc.linear_potential(1.0))
         assert s.h_big == pytest.approx(1.0, rel=1e-12)
 
-    def test_quadratic_table(self):
-        # V(x) = 0.01 x^2 sampled densely: H solves H^2 * 0.01 H^2 = 1
-        xs = np.linspace(0.0, 6.0, 6001)
-        vs = 0.01 * xs**2
-        s = mc.h_scale(mc.table_potential(xs, vs, lam=0.01))
-        assert s.h_big == pytest.approx(0.01 ** (-0.25), rel=1e-5)
-
     def test_cube_root_identity_across_lambda(self):
         for lam in np.logspace(-6, 0, 25):
             s = mc.h_scale(mc.linear_potential(float(lam)))
             assert abs(s.h_big * lam ** (1.0 / 3.0) - 1.0) < 1e-10
 
-    def test_no_root_for_degenerate_table(self):
-        pot = mc.table_potential((0.0, 1.0), (0.0, 5e-324), lam=1.0)
-        with pytest.raises(mc.NoRoot):
-            mc.h_scale(pot)
-
 
 class TestPotential:
-    def test_table_interpolation_and_extrapolation(self):
-        pot = mc.table_potential((0.0, 1.0, 2.0), (0.0, 2.0, 3.0), lam=1.0)
-        assert pot.value(0.5) == pytest.approx(1.0)
-        assert pot.value(3.0) == pytest.approx(4.0)  # slope 1 beyond the table
-
-    def test_with_lambda_scales_proportionally(self):
-        pot = mc.table_potential((0.0, 1.0), (0.0, 2.0), lam=1.0)
-        assert pot.with_lambda(0.5).value(1.0) == pytest.approx(1.0)
-
-    def test_rejects_nonzero_origin(self):
-        with pytest.raises(ValueError):
-            mc.table_potential((0.0, 1.0), (0.5, 1.0), lam=1.0)
-
-    def test_rejects_decreasing_values(self):
-        with pytest.raises(ValueError):
-            mc.table_potential((0.0, 1.0, 2.0), (0.0, 1.0, 0.5), lam=1.0)
+    @pytest.mark.parametrize("lam", [0.0, -0.5])
+    def test_nonpositive_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            mc.linear_potential(lam)
 
     def test_tilt_spec_invariants(self):
         pot = mc.linear_potential(1.0)
