@@ -399,13 +399,24 @@ def _fmt_cell(v) -> str:
     return s
 
 
+_ROW_CELL = {int: "%d", np.int64: "%d", float: "%.17g", np.float64: "%.17g"}
+
+
 def emit_csv(header: list[str], rows: list[tuple]) -> str:
-    """RFC-4180-style CSV: '.' decimal, 17 significant digits, LF endings."""
+    """RFC-4180-style CSV: '.' decimal, 17 significant digits, LF endings.
+    When the first row's cells are ints and floats (Python or numpy 64-bit),
+    a row of its cell types is formatted by one %-format; any other row,
+    or one holding a NaN, goes cell by cell."""
     lines = [",".join(header)]
+    kinds = tuple(map(type, rows[0])) if rows else ()
+    fmt = ",".join(map(_ROW_CELL.get, kinds)) if all(t in _ROW_CELL for t in kinds) else None
     for row in rows:
         if len(row) != len(header):
             raise ValueError("row length does not match header")
-        lines.append(",".join(_fmt_cell(v) for v in row))
+        line = fmt % tuple(row) if fmt is not None and tuple(map(type, row)) == kinds else None
+        if line is None or "nan" in line:  # _fmt_cell raises on a NaN
+            line = ",".join(_fmt_cell(v) for v in row)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

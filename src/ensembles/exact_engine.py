@@ -8,8 +8,11 @@ sampling: one batched draw per time step for all samples, each weighing
 the candidates of one row of the step's CSR transpose ``matrix_t`` (at
 most |offsets|^n) in log space, with one spawned random stream per
 sample.
-``TransferStep`` is the one chamber operator: messages, product laws
-and both samplers step its matrix or that transpose, built once.
+``TransferStep`` is the one chamber operator.  It holds the step as n
+one-curve sparse factors, which the message passes and the block
+sampler's forward pass apply; the product CSR and its transpose are
+derived from them on first use, for the product laws and the samplers'
+candidates.
 """
 
 from __future__ import annotations
@@ -155,58 +158,45 @@ def enumerate_states(n: int, x_max: int, max_states: float | None = None) -> Sta
 # one-step transfer
 
 
-def _kernel_moves(kernel: Kernel, n: int) -> list[tuple[np.ndarray, float]]:
-    """The |offsets|^n product moves and their probabilities.  The smallest
-    product, min(probs)^n, is checked as a sum of logs first: a product
-    below the smallest normal double would be dropped as 0.0 or lose its
-    digits, so it raises instead."""
-    log_min = n * math.log(min(kernel.probs))
-    if log_min < math.log(np.finfo(float).tiny):
-        raise ValueError(
-            f"the rarest product move of n={n} curves has probability "
-            f"10^{log_min / math.log(10):.1f}, below the smallest normal double"
-        )
-    moves = []
-    for combo in itertools.product(range(len(kernel.offsets)), repeat=n):
-        delta = np.array([kernel.offsets[i] for i in combo], dtype=np.int64)
-        moves.append((delta, math.prod(kernel.probs[i] for i in combo)))
-    return moves
-
-
-def _successor_table(states: StateSpace, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """(S, M) id of the state each product move leads to, -1 where the move
-    leaves the chamber, and the M = |offsets|^n move probabilities."""
-    moves = _kernel_moves(kernel, states.n)
-    if states.size * len(moves) > state_budget():
-        raise TooLarge(
-            f"{states.size} states x {len(moves)} moves exceeds budget {state_budget():g}"
-        )
-    arr = states.arr
-    delta = np.array([d for d, _ in moves], dtype=np.int64).reshape(len(moves), states.n)
-    dkeys = states.key(delta)
-    succ = np.empty((states.size, len(moves)), dtype=np.int64)
-    block = max(1, _TABLE_BLOCK // len(moves))  # rows per block: succ is the one (S, M) array
-    for lo in range(0, states.size, block):
-        rows = arr[lo : lo + block]
-        valid = (rows[:, -1:] + delta[:, -1] >= 1) & (rows[:, :1] + delta[:, 0] <= states.x_max)
-        for i in range(states.n - 1):  # strict order of curves i and i + 1 after the move
-            valid &= (rows[:, i : i + 1] - rows[:, i + 1 : i + 2]) > (delta[:, i + 1] - delta[:, i])
-        # a valid target is a chamber state, so its key is the source's key
-        # plus the move's, and the search finds it
-        out = succ[lo : lo + block]
-        out[:] = np.searchsorted(states.keys, states.keys[lo : lo + block, None] + dkeys)
-        out[~valid] = -1
-    return succ, np.array([p for _, p in moves])
-
-
-def _csr_step(succ: np.ndarray, probs: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of free-walk step probabilities from a successor table."""
-    valid = succ >= 0
-    indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-    data = np.broadcast_to(probs, succ.shape)[valid]
-    mat = sp.csr_matrix((data, succ[valid], indptr), shape=(succ.shape[0], succ.shape[0]))
-    mat.sum_duplicates()
-    return mat
+def _curve_factors(states: StateSpace, kernel: Kernel) -> tuple[sp.csr_matrix, ...]:
+    """The one-curve factors of the forward step, P^T = G_{n-1} ⋯ G_0,
+    where G_k moves curve k alone, from stage k to stage k + 1 (stages 0
+    and n are ``states``).  Stage k holds, as sorted keys, the columns
+    reached with curves 0..k-1 moved that can still end in the chamber:
+    moved curves strictly ordered in [1, x_max], and moved curve k - 1 at
+    least unmoved curve k + min(offsets) + 1.  A factor row holds at most
+    |offsets| entries, in increasing column id; the (rows, |offsets|)
+    tables of all factors' sources are held to the budget together."""
+    n, x_max = states.n, states.x_max
+    order = np.argsort(kernel.offsets)[::-1]  # descending, so a row's sources come in increasing key
+    offs, probs = np.array(kernel.offsets)[order], np.array(kernel.probs)[order]
+    place = states.key(np.eye(n, dtype=np.int64))  # the key of one unit of height on each curve
+    cur, factors, entries = states.keys, [], 0
+    for k in range(n):
+        nxt = states.keys
+        if k < n - 1:
+            here, below = cur // place[k] % (x_max + 1), cur // place[k + 1] % (x_max + 1) + offs[-1]
+            above = cur // place[k - 1] % (x_max + 1) if k else x_max + 1
+            ok = [(here + d >= 1) & (here + d < above) & (here + d > below) for d in offs]
+            nxt = np.concatenate([cur[m] + d * place[k] for m, d in zip(ok, offs)])
+            nxt.sort()  # in place, and faster than np.unique
+            nxt = nxt[np.insert(nxt[1:] != nxt[:-1], 0, True)]
+            del here, below, above, ok
+        entries += nxt.size * offs.size
+        if entries > state_budget():
+            raise TooLarge(f"one-curve factors with {entries} table entries exceed budget {state_budget():g}")
+        src = np.empty((nxt.size, offs.size), dtype=np.int32)
+        valid = np.empty(src.shape, dtype=bool)
+        moved = nxt // place[k] % (x_max + 1)
+        for j, d in enumerate(offs):  # one column at a time: the table is the one large array
+            key = nxt - d * place[k]
+            src[:, j] = np.searchsorted(cur, key).clip(max=cur.size - 1)
+            valid[:, j] = (moved - d >= 1) & (moved - d <= x_max) & (cur[src[:, j]] == key)
+        indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1)))).astype(np.int32)
+        data = np.broadcast_to(probs, src.shape)[valid]
+        factors.append(sp.csr_matrix((data, src[valid], indptr), shape=(nxt.size, cur.size)))
+        cur = nxt
+    return tuple(factors)
 
 
 def _log_rows(mat: sp.csr_matrix, rows, log_v: np.ndarray) -> np.ndarray:
@@ -216,7 +206,7 @@ def _log_rows(mat: sp.csr_matrix, rows, log_v: np.ndarray) -> np.ndarray:
     terms padded to the longest row, is held to the budget."""
     sub = mat[rows]
     counts = np.diff(sub.indptr)
-    shape = log_v.shape[:-1] + (counts.size, max(counts.max(), 1))
+    shape = log_v.shape[:-1] + (counts.size, max(counts.max(initial=0), 1))
     if math.prod(shape) > state_budget():
         dims = " x ".join(map(str, shape))
         raise TooLarge(f"log-space sum over a {dims} table exceeds budget {state_budget():g}")
@@ -231,28 +221,72 @@ def tilt_log_vector(states: StateSpace, tilt: TiltSpec) -> np.ndarray:
     return -(tilt.potential.value(states.arr) @ tilt.curve_weights(states.n))
 
 
+class _Chain(tuple):
+    """The product F_{k-1} ⋯ F_0 of its CSR factors F_0, ..., F_{k-1}:
+    ``chain @ v`` applies them in turn to v and any trailing batch axes."""
+
+    def __matmul__(self, v):
+        for f in self:
+            v = f @ v
+        return v
+
+    def log_rows(self, rows, log_v: np.ndarray) -> np.ndarray:
+        """log (chain @ exp(log_v)) at the selected rows, over the last
+        axis of the (..., S) log_v: each factor is summed in log space by
+        ``_log_rows``, over only the rows that the selected ones read."""
+        need = [rows]
+        for f in self[:0:-1]:
+            need.append(np.flatnonzero(np.bincount(f[need[-1]].indices, minlength=f.shape[1])))
+        for f, r in zip(self[:-1], need[:0:-1]):
+            out = np.full(log_v.shape[:-1] + (f.shape[0],), NEG_INF)
+            out[..., r] = _log_rows(f, r, log_v)
+            log_v = out
+        return _log_rows(self[-1], rows, log_v)
+
+
 @dataclass(frozen=True)
 class TransferStep:
     """The chamber operator: step probabilities times the source-state tilt.
 
-    The full entry is matrix[s, s'] * exp(log_tilt[s]); keeping the tilt
-    as a log vector means entries never underflow.  ``matrix_t``, the
-    CSR transpose, is built once with the step: backward message steps
-    multiply by ``matrix``, forward steps by ``matrix_t``, whose rows are
-    also the samplers' candidates."""
+    The full entry is P[s, s'] * exp(log_tilt[s]); keeping the tilt as a
+    log vector means entries never underflow.  The message steps are
+    ``forward``, P^T = G_{n-1} ⋯ G_0 as the one-curve factors of
+    ``_curve_factors``, and ``backward``, P = G_0^T ⋯ G_{n-1}^T: ``@``
+    in linear space, ``log_rows`` in exact log space.  ``matrix_t`` and
+    ``matrix``, P^T and P as one CSR each, and the padded
+    ``predecessors`` table are derived on first use, for the clients
+    that read single entries."""
 
     states: StateSpace
-    matrix: sp.csr_matrix
+    forward: _Chain
     log_tilt: np.ndarray
-    matrix_t: sp.csr_matrix = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix_t", self.matrix.T.tocsr())
+    @cached_property
+    def backward(self) -> _Chain:
+        return _Chain(f.T.tocsr() for f in reversed(self.forward))
+
+    @cached_property
+    def matrix_t(self) -> sp.csr_matrix:
+        """P^T as G_{n-1} @ (… @ (G_1 @ G_0)), indices sorted: each entry
+        is one product of the n move probabilities.  Held to the budget
+        as S states times the product of the factors' longest rows."""
+        moves = math.prod(int(np.diff(f.indptr).max(initial=0)) for f in self.forward)
+        if self.states.size * moves > state_budget():
+            raise TooLarge(f"{self.states.size} states x {moves} moves exceeds budget {state_budget():g}")
+        mat = self.forward[0]
+        for f in self.forward[1:]:
+            mat = f @ mat
+        mat.sort_indices()
+        return mat
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return self.matrix_t.T.tocsr()
 
     def entry(self, s_from: Sequence[int], s_to: Sequence[int]) -> float:
         i = self.states.ids(s_from)
         j = self.states.ids(s_to)
-        return float(self.matrix[i, j]) * math.exp(self.log_tilt[i])
+        return float(self.matrix_t[j, i]) * math.exp(self.log_tilt[i])
 
     @cached_property
     def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -275,10 +309,17 @@ class TransferStep:
 
 def step_matrix(states: StateSpace, kernel: Kernel, tilt: TiltSpec | None = None) -> TransferStep:
     """Build the tilted one-step transfer operator; without a tilt, the
-    free walk's."""
+    free walk's.  The smallest product move, min(probs)^n, is checked as
+    a sum of logs first: a product below the smallest normal double
+    would be dropped as 0.0 or lose its digits, so it raises instead."""
+    log_min = states.n * math.log(min(kernel.probs))
+    if log_min < math.log(np.finfo(float).tiny):
+        raise ValueError(
+            f"the rarest product move of n={states.n} curves has probability "
+            f"10^{log_min / math.log(10):.1f}, below the smallest normal double"
+        )
     log_tilt = np.zeros(states.size) if tilt is None else tilt_log_vector(states, tilt)
-    matrix = _csr_step(*_successor_table(states, kernel))
-    return TransferStep(states=states, matrix=matrix, log_tilt=log_tilt)
+    return TransferStep(states=states, forward=_Chain(_curve_factors(states, kernel)), log_tilt=log_tilt)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +391,17 @@ def _bridge_parity_check(spec: EnsembleSpec, kernel: Kernel) -> None:
             )
 
 
-def _compute_messages(spec: EnsembleSpec, kernel: Kernel, step: TransferStep) -> TransferResult:
-    states, mat, mat_t, log_tilt = step.states, step.matrix, step.matrix_t, step.log_tilt
+def _compute_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec | None = None) -> TransferResult:
+    """Log messages on the chamber of ``spec``, with the tilted step; without
+    a tilt, the free walk's.  The two (width, S) message arrays are held to
+    the budget before the step is built."""
+    states = enumerate_states(spec.n, spec.x_max)
     w = spec.width
     s = states.size
+    if 2 * w * s > state_budget():
+        raise TooLarge(f"two {w} x {s} message arrays exceed budget {state_budget():g}")
+    step = step_matrix(states, kernel, tilt)
+    fwd, bwd, log_tilt = step.forward, step.backward, step.log_tilt
     start = states.ids(spec.boundary.u)
     # la.log_mat_vec shifts its input by one maximum, so a row whose terms all
     # lie far below it comes out subnormal or -inf while its true value is
@@ -367,13 +415,13 @@ def _compute_messages(spec: EnsembleSpec, kernel: Kernel, step: TransferStep) ->
     else:
         backward[-1] = 0.0
     shift = np.full(w, NEG_INF)  # shift[t]: the maximum of backward[t + 1]
-    # A row fed by rows that lost mass loses mass too.  Rows of `mat` sum to at
+    # A row fed by rows that lost mass loses mass too.  Rows of P sum to at
     # most 1, so the true backward[t] is below logaddexp(backward[t], log_tilt + slack[t]).
     slack = np.full(w, NEG_INF)
     for t in range(w - 2, -1, -1):
         shift[t] = backward[t + 1].max()
         slack[t] = np.logaddexp(shift[t] + _LOG_TINY, log_tilt.max() + slack[t + 1])
-        backward[t] = la.log_mat_vec(mat, log_tilt, backward[t + 1])
+        backward[t] = la.log_mat_vec(bwd, log_tilt, backward[t + 1])
 
     low = backward[0, start]  # log Z from below: the backward pass only loses mass
     # the first step at which each state can be reached from the start
@@ -382,12 +430,15 @@ def _compute_messages(spec: EnsembleSpec, kernel: Kernel, step: TransferStep) ->
     forward[0, start] = 0.0
     for t in range(1, w):
         prev = forward[t - 1] + log_tilt
-        forward[t] = la.log_mat_vec(mat_t, 0.0, prev)
+        forward[t] = la.log_mat_vec(fwd, 0.0, prev)
         ceiling = prev.max() + _LOG_TINY
-        b_up = np.logaddexp(backward[t], log_tilt + slack[t])
-        lost = (forward[t] < ceiling) & (first <= t) & (ceiling + b_up > low - _NEGLIGIBLE)
-        if lost.any():
-            forward[t, lost] = _log_rows(mat_t, lost, prev)
+        # only a reachable row under the ceiling can have lost mass, so the
+        # backward bound is taken on those rows alone
+        rows = np.flatnonzero((forward[t] < ceiling) & (first <= t))
+        b_up = np.logaddexp(backward[t, rows], log_tilt[rows] + slack[t])
+        lost = rows[ceiling + b_up > low - _NEGLIGIBLE]
+        if lost.size:
+            forward[t, lost] = fwd.log_rows(lost, prev)
     log_z = float(la.logsumexp(forward[-1] + backward[-1]))
 
     changed = False  # backward[t + 1] differs from the first pass
@@ -395,15 +446,15 @@ def _compute_messages(spec: EnsembleSpec, kernel: Kernel, step: TransferStep) ->
         nxt = backward[t + 1]
         if changed:
             shift[t] = nxt.max()
-            row = la.log_mat_vec(mat, log_tilt, nxt)
+            row = la.log_mat_vec(bwd, log_tilt, nxt)
             changed = not np.array_equal(row, backward[t])
             backward[t] = row
         ceiling = log_tilt + shift[t] + _LOG_TINY
         lost = (backward[t] < ceiling) & (forward[t] + ceiling > log_z - _NEGLIGIBLE)
         if lost.any():
-            lost &= mat @ np.isfinite(nxt) > 0  # a row with no finite successor is -inf
+            lost &= bwd @ np.isfinite(nxt) > 0  # a row with no finite successor is -inf
         if lost.any():
-            backward[t, lost] = log_tilt[lost] + _log_rows(mat, lost, nxt)
+            backward[t, lost] = log_tilt[lost] + bwd.log_rows(lost, nxt)
             changed = True
 
     near = states.arr[:, 0] >= states.x_max - CUTOFF_NEAR
@@ -436,8 +487,7 @@ def ensemble_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec) -> Tra
     """
     if isinstance(spec.boundary, Bridge):
         _bridge_parity_check(spec, kernel)
-    states = enumerate_states(spec.n, spec.x_max)
-    res = _compute_messages(spec, kernel, step_matrix(states, kernel, tilt))
+    res = _compute_messages(spec, kernel, tilt)
     if res.cutoff_warning:
         warnings.warn(
             f"mass within {CUTOFF_NEAR} of x_max={spec.x_max} exceeds {CUTOFF_MASS_TOL:g} of total",

@@ -10,7 +10,7 @@ endpoint, so all of a colour's blocks of one length and end kind are
 redrawn for all chains in one batched call (chromatic Gibbs), block i
 reading the same slice of its chain's row as in a left-to-right scan.
 A batched redraw is a scaled linear-space forward pass on the chamber
-operator's CSR transpose, over a local space sized by the reach of the
+operator's one-curve factors, over a local space sized by the reach of the
 batch's blocks, then one backward draw by ``ee.ffbs``: each row weighs at
 most |offsets|^n predecessor candidates, read from the step's cached
 (S, K) padded table, against its own scaled forward column.  The
@@ -101,9 +101,9 @@ def _local_transfer(n: int, x_loc: int, kernel: Kernel, tilt: TiltSpec) -> tuple
     """The chamber operator on {1..x_loc} and the largest change of its
     log tilt along one step."""
     step = ee.step_matrix(ee.enumerate_states(n, x_loc), kernel, tilt)
-    mat, log_tilt = step.matrix, step.log_tilt
-    src = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    tilt_step = float(np.abs(log_tilt[src] - log_tilt[mat.indices]).max()) if mat.nnz else 0.0
+    mat_t, log_tilt = step.matrix_t, step.log_tilt
+    tgt = np.repeat(np.arange(mat_t.shape[0]), np.diff(mat_t.indptr))
+    tilt_step = float(np.abs(log_tilt[tgt] - log_tilt[mat_t.indices]).max()) if mat_t.nnz else 0.0
     return step, tilt_step
 
 
@@ -219,7 +219,7 @@ def _apply_block_batch(
     end_top = None if free else int(win[:, 0, m].max())
     x_loc = _local_cutoff(spec, kernel, m, int(win[:, 0, 0].max()), end_top)
     step, tilt_step = _local_transfer(spec.n, x_loc, kernel, tilt)
-    states, mat_t, log_tilt = step.states, step.matrix_t, step.log_tilt
+    states, fwd_step, log_tilt = step.states, step.forward, step.log_tilt
 
     r = win.shape[0]
     start = states.ids(win[:, :, 0])
@@ -240,7 +240,7 @@ def _apply_block_batch(
     fwd = np.zeros((m, states.size, r))
     fwd[0, start, np.arange(r)] = 1.0
     for t in range(1, m):
-        f = mat_t @ fwd[t - 1]
+        f = fwd_step @ fwd[t - 1]
         if not free:
             f *= to_end <= (m - t) * kernel.max_step
         if (t - 1) % every == 0:
@@ -250,7 +250,7 @@ def _apply_block_batch(
         scale = f.max(axis=0)
         fwd[t] = f / np.where(scale > 0, scale, 1.0)
     if free:
-        last = (mat_t @ fwd[m - 1]).T  # the end's weights, one per row
+        last = (fwd_step @ fwd[m - 1]).T  # the end's weights, one per row
 
     # a draw's candidates come from the cached (S, K) predecessor table
     pred, probs = step.predecessors
@@ -296,8 +296,7 @@ def _untilted_messages(spec: EnsembleSpec, kernel: Kernel) -> ee.TransferResult:
         tops.append(spec.boundary.v[0])
     x_init = min(spec.x_max, max(tops) + 2 * spec.n + 8)
     while True:
-        step = ee.step_matrix(ee.enumerate_states(spec.n, x_init), kernel)
-        res = ee._compute_messages(replace(spec, x_max=x_init), kernel, step)
+        res = ee._compute_messages(replace(spec, x_max=x_init), kernel)
         if np.isfinite(res.log_z):
             return res
         if x_init >= spec.x_max:

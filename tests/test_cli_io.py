@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ensembles
@@ -201,6 +202,25 @@ class TestEmitCsv:
 
     def test_quoting(self):
         assert cio.emit_csv(["s"], [("a,b",)]) == 's\n"a,b"\n'
+
+    def test_row_formats_match_cell_formats(self):
+        # a numeric first row sets one %-format; a row of other cell types,
+        # or one holding a NaN, goes cell by cell
+        rows = [
+            (1, np.int64(-2), 0.1, np.float64(1.0 / 3.0)),
+            (3, np.int64(4), -0.0, np.float64(float("inf"))),
+            (True, np.bool_(False), 1e-300, np.float64(-2.5)),
+            (5, 6, 7.0, np.float64(8.0)),
+            ('a "b", c', np.int64(9), float("-inf"), 0.5),
+            (np.int32(7), np.int64(1), 2.0, np.float64(-1e300)),
+        ]
+        header = ["a", "b", "c", "d"]
+        per_cell = "\n".join([",".join(header)] + [",".join(cio._fmt_cell(v) for v in r) for r in rows]) + "\n"
+        assert cio.emit_csv(header, rows) == per_cell
+        assert cio.emit_csv(header, rows[2:]) == "\n".join(per_cell.split("\n")[:1] + per_cell.split("\n")[3:])
+        assert '"a ""b"", c"' in per_cell and "true,false" in per_cell and "-0," in per_cell
+        with pytest.raises(ValueError, match="NaN"):
+            cio.emit_csv(header, rows[:1] + [(1, np.int64(2), float("nan"), np.float64(0.0))])
 
 
 class TestRun:

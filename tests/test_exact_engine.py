@@ -156,38 +156,52 @@ class TestStepMatrix:
                 assert probs[j, :k].tolist() == p
                 assert (pred[j, k:] == -1).all() and (probs[j, k:] == 0.0).all()
 
-    @pytest.mark.parametrize("n,x_max", [(1, 9), (2, 8), (3, 9)])
-    def test_successor_blocks_match_per_move_search(self, unit, monkeypatch, n, x_max):
-        monkeypatch.setattr(ee, "_TABLE_BLOCK", 7 * 5**n)  # seven rows per block
-        states = ee.enumerate_states(n, x_max)
-        succ, probs = ee._successor_table(states, unit)
-        for k, combo in enumerate(itertools.product(unit.offsets, repeat=n)):
-            for i, state in enumerate(states.arr.tolist()):
-                tgt = tuple(x + d for x, d in zip(state, combo))
-                assert succ[i, k] == (states.index[tgt] if tgt in states.index else -1)
-            assert probs[k] == pytest.approx(math.prod(unit.prob(d) for d in combo), rel=1e-15)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kernel", ["srw", "lazy", "unit", "unsorted", "asymmetric"])
+    def test_derived_matrix_matches_per_move_products(self, request, kernel, n):
+        if kernel == "unsorted":
+            kern = mc.make_kernel((1, -1, 0), (0.25, 0.25, 0.5))
+        elif kernel == "asymmetric":
+            kern = mc.make_kernel((-1, 0, 2), (0.5, 0.25, 0.25))
+        else:
+            kern = request.getfixturevalue(kernel)
+        states = ee.enumerate_states(n, n + 6)
+        # every product move from every state, kept where it lands on a state
+        expected = {}
+        for i, state in enumerate(states.arr.tolist()):
+            for combo in itertools.product(range(len(kern.offsets)), repeat=n):
+                tgt = tuple(x + kern.offsets[c] for x, c in zip(state, combo))
+                if tgt in states.index:
+                    expected[states.index[tgt], i] = math.prod(kern.probs[c] for c in combo)
+        mat_t = ee.step_matrix(states, kern).matrix_t
+        assert mat_t.has_sorted_indices and mat_t.nnz == len(expected)
+        rows = np.repeat(np.arange(states.size), np.diff(mat_t.indptr))
+        got = dict(zip(zip(rows.tolist(), mat_t.indices.tolist()), mat_t.data.tolist()))
+        assert got == expected  # bit for bit
 
-    def test_successor_table_holds_one_table_at_a_time(self, unit):
-        states = ee.enumerate_states(3, 45)  # S = 14190, M = 125
+    def test_curve_factors_hold_one_table_at_a_time(self, unit):
+        states = ee.enumerate_states(3, 45)  # S = 14190, |offsets| = 5
         tracemalloc.start()
         try:
-            succ, _ = ee._successor_table(states, unit)
+            factors = ee._curve_factors(states, unit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * succ.nbytes
+        assert [f.shape[0] for f in factors] == [16082, 16166, 14190]
+        assert sum(f.nnz for f in factors) == 207253
+        assert peak < 1.5 * sum(a.nbytes for f in factors for a in (f.data, f.indices, f.indptr))
 
-    def test_successor_table_built_once_per_sampler(self, unit, monkeypatch):
+    def test_curve_factors_built_once_per_sampler(self, unit, monkeypatch):
         from ensembles import gibbs_sampler as gs
 
         calls = []
-        table = ee._successor_table
+        build = ee._curve_factors
 
         def counted(states, kernel):
             calls.append(states.size)
-            return table(states, kernel)
+            return build(states, kernel)
 
-        monkeypatch.setattr(ee, "_successor_table", counted)
+        monkeypatch.setattr(ee, "_curve_factors", counted)
         spec = bridge_spec(2, 0, 6, (3, 1), (3, 1), x_max=8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ee.CutoffDominatedWarning)
@@ -545,6 +559,62 @@ class TestChainedBackwardRedo:
             assert path in index and law[path] > 0.0, f"sampled path {path} has zero mass"
             counts[index[path]] += 1
         assert chi_square_p(counts, np.array([law[p] for p in paths])) > 0.001
+
+
+class TestFactoredStep:
+    """The message passes step the one-curve factors: lost rows are redone
+    factor by factor in exact log space, and the product CSR is never
+    derived."""
+
+    @staticmethod
+    def config(name):
+        if name == "steep-n3":  # TestSteepTilt's long walk: both passes redo rows
+            return walk_spec(3, 0, 10, (14, 13, 12), x_max=16), mc.unit_walk(), tilt_of(a=4.0, b=4.0, lam=1.0)
+        width, u, v = {"bridge-6": (6, 3, 4), "bridge-7": (7, 3, 3)}[name]  # TestChainedBackwardRedo's
+        eps = 1e-250
+        kernel = mc.make_kernel((-1, 0, 1), (eps, 1 - 2 * eps, eps))
+        return bridge_spec(1, 0, width, (u,), (v,), x_max=4), kernel, tilt_of(a=300.0, b=2.0, lam=1.0)
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @pytest.mark.parametrize("name", ["bridge-6", "bridge-7", "steep-n3"])
+    def test_redo_matches_derived_csr_without_building_it(self, monkeypatch, name):
+        spec, kernel, tilt = self.config(name)
+        calls = []
+        real = ee._Chain.log_rows
+
+        def recorded(chain, rows, log_v):
+            out = real(chain, rows, log_v)
+            calls.append((chain, rows, log_v.copy(), out))
+            return out
+
+        monkeypatch.setattr(ee._Chain, "log_rows", recorded)
+        res = ee.ensemble_messages(spec, kernel, tilt)
+        assert "matrix_t" not in res.step.__dict__ and "matrix" not in res.step.__dict__
+        assert {chain is res.step.forward for chain, *_ in calls} == {True, False}  # both passes redo rows
+        fresh = ee.step_matrix(res.states, kernel, tilt)
+        for chain, rows, log_v, out in calls:
+            mat = fresh.matrix_t if chain is res.step.forward else fresh.matrix
+            np.testing.assert_allclose(out, ee._log_rows(mat, rows, log_v), rtol=1e-12, atol=0)
+
+    def test_three_curves_at_default_cutoff_fail_before_messages(self, unit, monkeypatch):
+        # lambda = 0.2 puts x_max at 158, so S = 644956: the two 81 x S
+        # message arrays (836 MB) exceed the budget, and neither they nor
+        # the step are built
+        spec = walk_spec(3, -40, 40, (3, 2, 1), x_max=mc.default_x_max(0.2, 3))
+        assert spec.x_max == 158
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the step was built before the budget check")
+
+        monkeypatch.setattr(ee, "step_matrix", unreachable)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ee.TooLarge, match="two 81 x 644956 message arrays"):
+                ee.ensemble_messages(spec, unit, tilt_of(lam=0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestConditionalBridgeLaw:
