@@ -10,7 +10,7 @@ most |offsets|^n) in log space, with one spawned random stream per
 sample.
 ``TransferStep`` is the one chamber operator.  It holds the step as n
 one-curve sparse factors, which the message passes and the block
-sampler's forward pass apply; the product CSR and its transpose are
+sampler's forward tables apply; the product CSR and its transpose are
 derived from them on first use, for the product laws and the samplers'
 candidates.
 """
@@ -46,7 +46,6 @@ CUTOFF_NEAR = 2  # "near the cap" means top curve within this of x_max
 CUTOFF_MASS_TOL = 1e-8
 _LOG_TINY = math.log(2.0 * np.finfo(float).tiny)  # below this a linear sum may have lost terms
 _NEGLIGIBLE = 800.0  # a state this many nats below log Z has probability 0.0 in double
-_TABLE_BLOCK = 1 << 18  # successor-table entries searched at once
 
 
 class TooLarge(ValueError):
@@ -722,23 +721,25 @@ def ffbs(steps: int, first, last, us: np.ndarray, weigh) -> np.ndarray:
     columns 0..T, T = ``steps``.
 
     ``first`` is the fixed start id.  ``last`` is the end ids, or (R or
-    1, S) linear end weights to draw them from; a single row is shared by
+    1, S) log end weights to draw them from; a single row is shared by
     all R draws.  ``weigh(t, nxt)`` is the caller's weighing of a draw's
     candidates: for the (R,) ids at t + 1 it returns the (R, K) ids of
-    the states that step to them and the candidates' linear weights, each
-    row scaled freely, a zero weight never drawn.  ``us`` is (R, k)
-    uniforms taken column by column: the end when drawn, then times T-1
-    down to 1.  Returns (T+1, R) state ids.
+    the states that step to them and the candidates' log weights, -inf
+    never drawn.  Each draw's weights are shifted by its own largest one
+    before they leave log space, so no candidate underflows against
+    states it does not compete with.  ``us`` is (R, k) uniforms taken
+    column by column: the end when drawn, then times T-1 down to 1.
+    Returns (T+1, R) state ids.
     """
     r = us.shape[0]
     cols = iter(us.T)
     ids = np.empty((steps + 1, r), dtype=np.int64)
     ids[0] = first
-    ids[steps] = categorical(last, next(cols)) if np.ndim(last) == 2 else last
+    ids[steps] = categorical(_shifted_exp(last), next(cols)) if np.ndim(last) == 2 else last
     rows = np.arange(r)
     for t in range(steps - 1, 0, -1):
-        cand, w = weigh(t, ids[t + 1])
-        ids[t] = cand[rows, categorical(w, next(cols))]
+        cand, log_w = weigh(t, ids[t + 1])
+        ids[t] = cand[rows, categorical(_shifted_exp(log_w), next(cols))]
     return ids
 
 
@@ -763,9 +764,9 @@ def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     ``res``, one per row of the (R, sample_draws) uniforms ``us``.
 
     A draw weighs its candidates, read from the rows of ``matrix_t``, in
-    log space, forward[t] + log_tilt + log p, shifted by the draw's own
-    largest weight, so no candidate underflows against states it does
-    not compete with; no exp'd copy of the messages is made."""
+    log space, forward[t] + log_tilt + log p, for ``ffbs`` to shift by
+    the draw's own largest weight; no exp'd copy of the messages is
+    made."""
     spec, states, step = res.spec, res.states, res.step
     if not np.isfinite(res.log_z):
         raise ValueError("ensemble has zero total mass; nothing to sample")
@@ -774,13 +775,9 @@ def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     def weigh(t, nxt):
         pos, real = column_candidates(mat_t, nxt)
         cand = mat_t.indices[pos]
-        log_w = np.where(real, forward[t][cand] + log_tilt[cand] + np.log(mat_t.data[pos]), NEG_INF)
-        return cand, _shifted_exp(log_w)
+        return cand, np.where(real, forward[t][cand] + log_tilt[cand] + np.log(mat_t.data[pos]), NEG_INF)
 
-    if isinstance(spec.boundary, Bridge):
-        last = states.ids(spec.boundary.v)
-    else:
-        last = _shifted_exp(forward[-1][None, :])
+    last = states.ids(spec.boundary.v) if isinstance(spec.boundary, Bridge) else forward[-1][None, :]
     ids = ffbs(spec.width - 1, states.ids(spec.boundary.u), last, us, weigh)
     return np.ascontiguousarray(states.arr[ids].transpose(1, 2, 0))
 

@@ -4,16 +4,18 @@ Each block update is an exact draw from the conditional bridge (or
 conditional walk) law given the block endpoints, so there is no
 acceptance step to tune.  Chains are vectorized internally: a batch of
 independent chains shares the block schedule while every chain consumes
-its own spawned random stream, one row of uniforms per sweep.  A sweep
-runs in colour order: blocks of one colour share at most a pinned
-endpoint, so all of a colour's blocks of one length and end kind are
-redrawn for all chains in one batched call (chromatic Gibbs), block i
-reading the same slice of its chain's row as in a left-to-right scan.
-A batched redraw is a scaled linear-space forward pass on the chamber
-operator's one-curve factors, over a local space sized by the reach of the
-batch's blocks, then one backward draw by ``ee.ffbs``: each row weighs at
-most |offsets|^n predecessor candidates, read from the step's cached
-(S, K) padded table, against its own scaled forward column.  The
+its own spawned random stream, one row of uniforms per sweep, drawn a
+chunk of sweeps at a time.  A sweep runs in colour order: blocks of one
+colour share at most a pinned endpoint, so all of a colour's blocks of
+one length and end kind are redrawn for all chains in one batched call
+(chromatic Gibbs), block i reading the same slice of its chain's row as
+in a left-to-right scan.  A batched redraw reads the exact log forward
+rows of each block's start from a memo on the cached local space, a
+space sized by the reach of the batch's blocks; the rows of starts not
+met before are built in one batched pass on the chamber operator's
+one-curve factors.  One backward draw by ``ee.ffbs`` follows: each row
+weighs at most |offsets|^n predecessor candidates, read from the step's
+cached (S, K) padded table, in log space against its start's rows.  The
 starting configurations are one exact draw (``ee.sample_heights``,
 weighed in log space) from the untilted ensemble.  Kept samples are
 stored in one array and validated once per run.
@@ -24,13 +26,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import exact_engine as ee
 from .model_core import (
+    NEG_INF,
     Bridge,
     EnsembleSpec,
     Kernel,
@@ -40,7 +43,7 @@ from .model_core import (
     path_configs,
 )
 
-_EXP_CAP = 700.0  # largest exponent taken in the linear block pass; exp(709.8) overflows
+_SWEEP_CHUNK = 64  # sweeps of uniforms a chain draws per generator call
 
 
 class Infeasible(ValueError):
@@ -96,15 +99,89 @@ class ChainDiagnostics:
 # cached local transfer structures
 
 
+class _LocalSpace:
+    """The chamber operator on a block's local space and its memo of exact
+    log forward tables, one per block length m.  ``memo[m]`` is (slots,
+    table): the (m + 1, S) rows of start state s are ``table[slots[s]]``,
+    and slot -1 marks a start not met yet.  A start's rows depend on the
+    start alone, so every chain and block that starts there reads them."""
+
+    def __init__(self, step: ee.TransferStep, max_step: int):
+        self.step = step
+        self.max_step = max_step
+        self.memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The step's (S, K) predecessor ids and their log step
+        probabilities, -inf for padding."""
+        pred, probs = self.step.predecessors
+        with np.errstate(divide="ignore"):
+            return pred, np.log(probs)
+
+    def forward_rows(self, m: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slots of ``starts`` and the (slots, m + 1, S) table of length
+        m, after one batched ``_forward_log_rows`` over the starts not met
+        yet.  The table is held to the budget: when the new starts would
+        take it over, it keeps only this call's starts.  The slot array and
+        the table are replaced together, so a reader never pairs one with
+        the other's predecessor."""
+        size = self.step.states.size
+        slots, table = self.memo.get(m, (np.full(size, -1), np.empty((0, m + 1, size))))
+        new = np.unique(starts[slots[starts] < 0])
+        if new.size:
+            rows = _forward_log_rows(self.step, self.max_step, new, m)
+            if (len(table) + new.size) * (m + 1) * size > ee.state_budget():
+                keep = np.unique(starts[slots[starts] >= 0])
+                table = table[slots[keep]]
+                slots = np.full(size, -1)
+                slots[keep] = np.arange(keep.size)
+            else:
+                slots = slots.copy()
+            slots[new] = len(table) + np.arange(new.size)
+            table = np.concatenate([table, rows])
+            self.memo[m] = (slots, table)
+        return slots[starts], table
+
+
 @lru_cache(maxsize=32)
-def _local_transfer(n: int, x_loc: int, kernel: Kernel, tilt: TiltSpec) -> tuple[ee.TransferStep, float]:
-    """The chamber operator on {1..x_loc} and the largest change of its
-    log tilt along one step."""
-    step = ee.step_matrix(ee.enumerate_states(n, x_loc), kernel, tilt)
-    mat_t, log_tilt = step.matrix_t, step.log_tilt
-    tgt = np.repeat(np.arange(mat_t.shape[0]), np.diff(mat_t.indptr))
-    tilt_step = float(np.abs(log_tilt[tgt] - log_tilt[mat_t.indices]).max()) if mat_t.nnz else 0.0
-    return step, tilt_step
+def _local_transfer(n: int, x_loc: int, kernel: Kernel, tilt: TiltSpec) -> _LocalSpace:
+    """The chamber operator on {1..x_loc}, with an empty memo."""
+    return _LocalSpace(ee.step_matrix(ee.enumerate_states(n, x_loc), kernel, tilt), kernel.max_step)
+
+
+def _forward_log_rows(step: ee.TransferStep, max_step: int, starts: np.ndarray, m: int) -> np.ndarray:
+    """(len(starts), m + 1, S) exact log forward rows of m steps from each
+    start: row t weighs the paths from the start to each state at t, with
+    the log tilt of times t < m folded in.
+
+    A step runs in linear space, each start shifted by the maximum of its
+    previous row, as ``la.log_mat_vec`` does for one vector.  A reachable
+    entry under its start's ``ceiling = max + ee._LOG_TINY`` may have lost
+    terms to that shift, so it is redone in exact log space; a redo is
+    written only where its own start lost the entry, so a start's rows do
+    not depend on the other starts of the batch."""
+    states, fwd, log_tilt = step.states, step.forward, step.log_tilt
+    u = starts.size
+    rows = np.full((u, m + 1, states.size), NEG_INF)
+    rows[np.arange(u), 0, starts] = log_tilt[starts]
+    # the first step at which each state can be reached from each start
+    dist = np.zeros((u, states.size), dtype=np.int64)
+    for col, at in zip(states.arr.T, states.arr[starts].T):
+        np.maximum(dist, np.abs(col[None, :] - at[:, None]), out=dist)
+    first = -(-dist // max_step)
+    for t in range(1, m + 1):
+        prev = rows[:, t - 1]
+        top = prev.max(axis=1, keepdims=True)  # finite: the chain's own path stays in the space
+        with np.errstate(divide="ignore"):
+            out = np.log(fwd @ np.exp(prev - top).T).T + top
+        lost = (out < top + ee._LOG_TINY) & (first <= t)
+        if lost.any():
+            who, where = np.flatnonzero(lost.any(axis=1)), np.flatnonzero(lost.any(axis=0))
+            sub = np.ix_(who, where)
+            out[sub] = np.where(lost[sub], fwd.log_rows(where, prev[who]), out[sub])
+        rows[:, t] = out + log_tilt if t < m else out
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +256,12 @@ def _colour_groups(spec: EnsembleSpec, blocks) -> list[tuple[list, list[int]]]:
 def _local_cutoff(spec: EnsembleSpec, kernel: Kernel, m: int, start_top: int, end_top: int | None) -> int:
     """Height cutoff of a block's local space: m steps from a start whose
     top curve is at most ``start_top``, to a pinned end whose top curve
-    is at most ``end_top`` or to a free end.  A bridge between the ends
-    stays at or below (start_top + end_top + m·max_step) / 2, and the
-    pinned pass zeroes every state above it, so the cutoff changes no
-    draw.  Rounded up to a multiple of 4, so nearby blocks share the
-    cached operator."""
+    is at most ``end_top`` or to a free end.  No path of the block climbs
+    above it: a bridge between the ends stays at or below (start_top +
+    end_top + m·max_step) / 2, and a free walk at or below start_top +
+    m·max_step.  The local space so holds every path the block can draw,
+    and the cutoff changes no draw.  Rounded up to a multiple of 4, so
+    nearby blocks share the cached operator and its memo."""
     if end_top is None:
         x_loc = start_top + m * kernel.max_step + 2
     else:
@@ -218,48 +296,19 @@ def _apply_block_batch(
     block_us = us[:, np.add.outer(offs, np.arange(n_draw))].reshape(-1, n_draw)
     end_top = None if free else int(win[:, 0, m].max())
     x_loc = _local_cutoff(spec, kernel, m, int(win[:, 0, 0].max()), end_top)
-    step, tilt_step = _local_transfer(spec.n, x_loc, kernel, tilt)
-    states, fwd_step, log_tilt = step.states, step.forward, step.log_tilt
-
-    r = win.shape[0]
+    local = _local_transfer(spec.n, x_loc, kernel, tilt)
+    states = local.step.states
     start = states.ids(win[:, :, 0])
-    if not free:
-        end = win[:, :, m]
-        last = states.ids(end)
-        # steps each state needs at least to reach its chain's pinned end
-        to_end = np.abs(states.arr.T[:, :, None] - end.T[:, None, :]).max(axis=0)
-    # Scaled forward pass in linear space (Rabiner 1989), one column per
-    # row (a chain's block).  exp(tilt) is shifted per row by the largest
-    # log tilt on its support, so a row far above the tilt minimum keeps
-    # its column in range.  The support gains at most tilt_step per step,
-    # so the shift is renewed every `every` steps to keep exponents on it
-    # below _EXP_CAP; the cap itself only keeps states off the support
-    # finite.  States that cannot reach a pinned end are zeroed first, so
-    # the shift and the row scale follow the mass that the bridge can use.
-    every = int(_EXP_CAP // tilt_step) + 1 if tilt_step > 0 else m
-    fwd = np.zeros((m, states.size, r))
-    fwd[0, start, np.arange(r)] = 1.0
-    for t in range(1, m):
-        f = fwd_step @ fwd[t - 1]
-        if not free:
-            f *= to_end <= (m - t) * kernel.max_step
-        if (t - 1) % every == 0:
-            top = np.where(f > 0, log_tilt[:, None], -np.inf).max(axis=0)
-            tilt_w = np.exp(np.minimum(log_tilt[:, None] - top, _EXP_CAP))
-        f *= tilt_w
-        scale = f.max(axis=0)
-        fwd[t] = f / np.where(scale > 0, scale, 1.0)
-    if free:
-        last = (fwd_step @ fwd[m - 1]).T  # the end's weights, one per row
-
-    # a draw's candidates come from the cached (S, K) predecessor table
-    pred, probs = step.predecessors
-    chain = np.arange(r)[:, None]
+    slot, table = local.forward_rows(m, start)
+    pred, log_probs = local.candidates
+    flat, size = table.reshape(-1), states.size
+    base = slot * ((m + 1) * size)  # where each row's table starts in ``flat``
 
     def weigh(t, nxt):
-        cand = pred[nxt]  # (R, K); a padding candidate has probability 0
-        return cand, fwd[t][cand, chain] * probs[nxt]
+        cand = pred[nxt]  # (R, K); a padding candidate has log probability -inf
+        return cand, flat[(base + t * size)[:, None] + cand] + log_probs[nxt]
 
+    last = table[slot, m] if free else states.ids(win[:, :, m])
     idx = ee.ffbs(m, start, last, block_us, weigh)
     stop = m if free else m - 1
     drawn = states.arr[idx[1 : stop + 1]]  # (stop, chains·B, n)
@@ -400,13 +449,13 @@ def sample_paths(
     n_kept = -(-params.sweeps // params.thin)
     kept = np.empty((n_kept, r) + heights.shape[1:], dtype=heights.dtype)  # sweep-major
     area = np.empty((n_kept, r))
+    total = params.burn_in + params.sweeps
     t0 = time.perf_counter()
-    for s_i in range(params.burn_in + params.sweeps):
-        if n_draw:
-            us = np.stack([g.random(n_draw) for g in gens])
-        else:
-            us = np.zeros((r, 0))
-        _sweep_batch(heights, spec, kernel, tilt, blocks, us)
+    for s_i in range(total):
+        if s_i % _SWEEP_CHUNK == 0:  # random((k, d)) gives the values of k calls random(d)
+            k = min(_SWEEP_CHUNK, total - s_i)
+            chunk = np.stack([g.random((k, n_draw)) for g in gens], axis=1)  # (k, chains, draws)
+        _sweep_batch(heights, spec, kernel, tilt, blocks, chunk[s_i % _SWEEP_CHUNK])
         j, off = divmod(s_i - params.burn_in, params.thin)
         if j >= 0 and off == 0:
             kept[j] = heights
@@ -435,7 +484,7 @@ def sample_paths(
         ess=ess,
         acceptance_ratio=1.0,
         sweep_seconds=elapsed,
-        sweeps=params.burn_in + params.sweeps,
+        sweeps=total,
         chains=r,
         kept=len(samples),
     )

@@ -173,6 +173,65 @@ class TestSteepTilt:
         assert chi_square_p(counts, exact.probs) > 0.001
 
 
+class TestRareMoveRedraw:
+    """Full-window redraws where the law's mass sits far below the forward
+    maximum: the block sampler's forward rows must keep every state whose
+    log mass lies more than ~745 nats below its start's largest one."""
+
+    A, B, LAM = 300.0, 2.0, 1.0
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @pytest.mark.parametrize("width,u,v", [(6, 3, 4), (7, 3, 3)])
+    def test_rare_move_bridges_match_brute_force(self, width, u, v):
+        # TestChainedBackwardRedo's bridges: each law puts its mass on paths
+        # of rare moves (ε = 1e-250), far below the forward rows' maximum,
+        # which paths without them hold.  Chains start on (u, ..., u, v).
+        from conftest import brute_law, chi_square_p
+
+        eps = 1e-250
+        kernel = mc.make_kernel((-1, 0, 1), (eps, 1 - 2 * eps, eps))
+        spec = bridge_spec(1, 0, width, (u,), (v,), x_max=4)
+        law = brute_law(spec, kernel, self.A, self.B, self.LAM, list(spec.times))
+        paths = list(law)
+        index = {p: i for i, p in enumerate(paths)}
+        chains = 400
+        heights = np.repeat(np.array([[u] * width + [v]])[None], chains, axis=0)
+        us = np.random.default_rng(41).random((chains, width - 1))
+        tilt = tilt_of(a=self.A, b=self.B, lam=self.LAM)
+        gs._apply_block_batch(heights, spec, kernel, tilt, [(0, width)], us, [0])
+        counts = np.zeros(len(paths))
+        for h in heights:
+            path = tuple((int(x),) for x in h[0])
+            assert path in index and law[path] > 0.0, f"redrawn path {path} has zero mass"
+            counts[index[path]] += 1
+        assert chi_square_p(counts, np.array([law[p] for p in paths])) > 0.001
+
+    def test_steep_free_end_block_matches_exact_sampler(self, unit):
+        # TestSteepTilt's n = 3 walk: its log tilt moves up to 168 nats per
+        # step.  The free end of a full-window redraw is compared with the
+        # exact marginal and with exact_sample's draws of it.
+        from conftest import chi_square_p
+        from scipy.stats import chi2_contingency
+
+        tilt = tilt_of(a=4.0, b=4.0, lam=1.0)
+        spec = walk_spec(3, 0, 10, (14, 13, 12), x_max=16)
+        res = ee.ensemble_messages(spec, unit, tilt)
+        cfg = gs.init_config(spec, unit, rng=np.random.default_rng(3))
+        heights = np.repeat(cfg.heights[None], 2000, axis=0)
+        us = np.random.default_rng(23).random((2000, 10))
+        gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0])
+        assert all(mc.log_tilt_weight(mc.PathConfig(heights=h, spec=spec), tilt) > mc.NEG_INF for h in heights)
+        ends = res.states.ids(heights[:, :, 10])
+        counts = np.bincount(ends, minlength=res.states.size)
+        assert chi_square_p(counts, ee.marginal_from_messages(res, 10).probs) > 0.001
+        exact = res.states.ids(
+            np.array([p.column(10) for p in ee.exact_sample(spec, unit, tilt, seed=5, count=2000)])
+        )
+        seen = np.union1d(ends, exact)
+        table = np.array([np.bincount(x, minlength=res.states.size)[seen] for x in (ends, exact)])
+        assert chi2_contingency(table[:, table.sum(axis=0) >= 10]).pvalue > 0.001
+
+
 class TestSweep:
     def test_deterministic_under_seed(self, unit):
         spec = walk_spec(1, 0, 20, (2,), x_max=60)
@@ -411,6 +470,111 @@ class TestColouredSweepKernel:
         assert chi_square_p(counts, sweep[index[start]]) > 0.001
 
 
+class TestForwardMemo:
+    """Block redraws read per-start log forward rows from a memo on the
+    cached local space; the rows of a start are built once and do not
+    depend on the batch or the cache state that built them."""
+
+    PARAMS = gs.McmcParams(block_len=6, overlap=3)
+    CASES = {
+        "gentle": (walk_spec(2, -12, 12, (2, 1), x_max=40), tilt_of(lam=0.3)),
+        # steep enough that batches of starts redo lost entries in log space
+        "steep": (walk_spec(2, -12, 12, (8, 6), x_max=24), tilt_of(a=10.0, b=4.0, lam=1.0)),
+    }
+
+    def _sweeps(self, spec, heights, us, tilt, kernel, one_by_one=False):
+        blocks = gs._blocks_schedule(spec, self.PARAMS)
+        for row in us:
+            if not one_by_one:
+                gs._sweep_batch(heights, spec, kernel, tilt, blocks, row)
+                continue
+            for group, offs in gs._colour_groups(spec, blocks):
+                for block, off in zip(group, offs):
+                    for c in range(len(heights)):
+                        one = slice(c, c + 1)
+                        gs._apply_block_batch(heights[one], spec, kernel, tilt, [block], row[one], [off])
+        return heights
+
+    def _start(self, spec, unit, chains):
+        cfg = gs.init_config(spec, unit, rng=np.random.default_rng(12))
+        draws = gs._sweep_draws(spec, gs._blocks_schedule(spec, self.PARAMS))
+        us = np.random.default_rng(13).random((4, chains, draws))
+        return np.repeat(cfg.heights[None], chains, axis=0), us
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_built_once_per_space_length_and_start(self, unit, monkeypatch, case):
+        spec, tilt = self.CASES[case]
+        built, calls = [], []
+        real, apply = gs._forward_log_rows, gs._apply_block_batch
+        monkeypatch.setattr(gs, "_forward_log_rows", lambda step, *a: built.append((step, a)) or real(step, *a))
+        monkeypatch.setattr(gs, "_apply_block_batch", lambda *a: calls.append(a) or apply(*a))
+        gs._local_transfer.cache_clear()
+        heights, us = self._start(spec, unit, 12)
+        self._sweeps(spec, heights, us, tilt, unit)
+        keys = [(id(step), m, int(s)) for step, (_, starts, m) in built for s in starts]
+        assert len(keys) == len(set(keys))
+        assert 0 < len(built) < len(calls)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_warm_cold_and_one_block_draws_agree(self, unit, case):
+        spec, tilt = self.CASES[case]
+        heights, us = self._start(spec, unit, 12)
+        out = []
+        for clear, one_by_one in ((True, False), (False, False), (True, True)):
+            if clear:
+                gs._local_transfer.cache_clear()
+            out.append(self._sweeps(spec, heights.copy(), us, tilt, unit, one_by_one))
+        assert (out[0] != heights).any()
+        assert (out[0] == out[1]).all() and (out[0] == out[2]).all()
+
+    def test_budget_keeps_one_batch_and_draws_unchanged(self, unit, monkeypatch):
+        spec, tilt = self.CASES["gentle"]
+        heights, us = self._start(spec, unit, 12)
+        seen, built = [], []
+        memo_rows, build = gs._LocalSpace.forward_rows, gs._forward_log_rows
+
+        def recorded(local, m, starts):
+            slot, table = memo_rows(local, m, starts)
+            seen.append((np.unique(starts).size, len(table), table.size))
+            return slot, table
+
+        monkeypatch.setattr(gs._LocalSpace, "forward_rows", recorded)
+        monkeypatch.setattr(gs, "_forward_log_rows", lambda step, *a: built.append((step, a)) or build(step, *a))
+        gs._local_transfer.cache_clear()
+        free = self._sweeps(spec, heights.copy(), us, tilt, unit)
+        budget = max(size for *_, size in seen) // 2
+        monkeypatch.setenv("ENSEMBLES_BUDGET", str(budget))
+        seen.clear(), built.clear()
+        gs._local_transfer.cache_clear()
+        held = self._sweeps(spec, heights.copy(), us, tilt, unit)
+        gs._local_transfer.cache_clear()
+        # each memo keeps to the budget, or holds only the starts of the call that took it over
+        assert all(size <= budget or slots == batch for batch, slots, size in seen)
+        assert any(size > budget for *_, size in seen)
+        keys = [(id(step), m, int(s)) for step, (_, starts, m) in built for s in starts]
+        assert len(keys) > len(set(keys))  # a start dropped from a full memo is built again
+        assert (free == held).all()
+
+    def test_sample_paths_grows_no_module_container(self, unit):
+        import sys
+
+        def sizes():
+            return {
+                (name, attr): len(obj)
+                for name, mod in list(sys.modules.items())
+                if name.startswith("ensembles") and mod is not None
+                for attr, obj in vars(mod).items()
+                if isinstance(obj, (dict, list, set))
+            }
+
+        spec, tilt = self.CASES["gentle"]
+        params = gs.McmcParams(block_len=6, overlap=3, sweeps=20, burn_in=5, seed=2, chains=6)
+        gs.sample_paths(spec, unit, tilt, params)  # first-use imports and caches
+        before = sizes()
+        gs.sample_paths(spec, unit, tilt_of(lam=0.25), params)
+        assert before and sizes() == before
+
+
 class TestSamplePaths:
     def test_zero_sweeps_yields_empty(self, lazy):
         spec = bridge_spec(1, 0, 4, (1,), (1,), x_max=8)
@@ -440,6 +604,17 @@ class TestSamplePaths:
             counts = np.bincount([s.heights[0, 8] for s in samples], minlength=81)
             out.append(counts / counts.sum())
         assert 0.5 * np.abs(out[0] - out[1]).sum() <= 0.03
+
+    def test_uniform_chunks_do_not_change_draws(self, unit, monkeypatch):
+        # a chunk of k sweeps is one random((k, draws)) call per chain
+        spec = bridge_spec(1, -6, 6, (2,), (2,), x_max=30)
+        params = gs.McmcParams(block_len=5, overlap=2, sweeps=70, burn_in=3, seed=9, chains=3)
+        out = []
+        for chunk in (1, 5, gs._SWEEP_CHUNK):
+            monkeypatch.setattr(gs, "_SWEEP_CHUNK", chunk)
+            samples, _ = gs.sample_paths(spec, unit, tilt_of(lam=0.4), params)
+            out.append(np.stack([s.heights for s in samples]))
+        assert (out[0] == out[1]).all() and (out[0] == out[2]).all()
 
     def test_geometric_factor_sweep_records_diagnostics(self, lazy):
         spec = bridge_spec(2, -4, 4, (3, 1), (3, 1), x_max=25)
