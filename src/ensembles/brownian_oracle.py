@@ -8,18 +8,19 @@ tilted by exp(-a * sum_i b^(i-1) x_i dt).  One-time marginals under
 zero / fixed / free boundary conditions and the stationary (large-time)
 density are the comparison targets for the lattice convergence
 experiments.
-The killed step is applied matrix-free (``_killed_step``); one grid's
-chamber states and box index are built once and shared by every call on
-it.  A one-time marginal at step j runs the forward pass for j steps and
-the backward pass for the remaining n_steps - j, in scaled linear space
-with accumulated log scales (Rabiner 1989), so it costs one polymer pass
-and keeps only two state vectors; when both ends are the same point, the
-shorter half is run once and mirrored by the tilt, so it costs
-max(j, n_steps - j) steps.  Where a steep tilt may have flushed an entry
-that the marginal needs, both messages are recomputed in exact log
-space (``_log_killed_step``).  The stationary density comes from
-Lanczos (ARPACK, Lehoucq, Sorensen & Yang 1998) on the symmetrized
-tilted step.
+The killed step is the lattice's chamber operator for the stencil
+kernel (``_killed_step``): the n one-curve factors that
+``exact_engine.step_matrix`` builds for any kernel, made once per grid
+and shared by every call on it.  A one-time marginal at step j runs the
+forward pass for j steps and the backward pass for the remaining
+n_steps - j, in scaled linear space with accumulated log scales (Rabiner
+1989), so it costs one polymer pass and keeps only two state vectors;
+when both ends are the same point, the shorter half is run once and
+mirrored by the tilt, so it costs max(j, n_steps - j) steps.  Where a
+steep tilt may have flushed an entry that the marginal needs, both
+messages are recomputed with the factors' exact log-space step
+(``log_rows``).  The stationary density comes from Lanczos (ARPACK,
+Lehoucq, Sorensen & Yang 1998) on the symmetrized tilted step.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exact_engine as ee
-from .model_core import NEG_INF
+from .model_core import NEG_INF, Kernel, make_kernel
 
 STENCIL_REACH = 6  # Gaussian step truncated at 6 sigma (weight e^-18)
 
@@ -128,88 +129,35 @@ class PolymerLaw:
 
 
 @functools.lru_cache(maxsize=2)
-def _chamber_box(n: int, n_sites: int) -> tuple[ee.StateSpace, np.ndarray]:
-    """Chamber states and their flat indices in the {1..n_sites}^n box."""
-    states = ee.enumerate_states(n, n_sites)
-    flat = (states.arr - 1) @ n_sites ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    flat.flags.writeable = False
-    return states, flat
+def _killed_step(n: int, n_sites: int) -> tuple[ee.StateSpace, ee._Chain]:
+    """Chamber states and the killed free step G on them, built once per
+    grid and shared by every call on it.
 
-
-def _killed_step(n: int, n_sites: int):
-    """Chamber states and the killed free step G on them, matrix-free.
-
-    Per coordinate the step weights e^{-m^2/2}, |m| <= 6, are normalized
-    over the stencil; G(v) zero-extends the length-S vector v onto the
-    {1..n_sites}^n box, correlates each axis with the stencil (zero
-    outside the box) and reads the chamber back out.  Killing acts only
-    on the destination, so this is exactly the step with moves leaving
-    the chamber or the cap dropped, and G is symmetric."""
-    from scipy.ndimage import correlate1d
-
-    states, flat = _checked_box(n, n_sites)
-    stencil = _stencil()
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        box = np.zeros(n_sites**n)
-        box[flat] = v.ravel()
-        box = box.reshape((n_sites,) * n)
-        for axis in range(n):
-            box = correlate1d(box, stencil, axis=axis, mode="constant")
-        return box.ravel()[flat]
-
-    return states, apply
-
-
-def _log_killed_step(n: int, n_sites: int):
-    """Chamber states and the step of ``_killed_step`` on log vectors,
-    summed in exact log space: per axis, the largest of the shifted,
-    weighted copies is factored out of their sum, so no term underflows
-    against another.  About five box-sized arrays are live at once."""
-    states, flat = _checked_box(n, n_sites)
-    log_w = np.log(_stencil())
-
-    def apply(log_v: np.ndarray) -> np.ndarray:
-        box = np.full(n_sites**n, NEG_INF)
-        box[flat] = log_v
-        box = box.reshape((n_sites,) * n)
-        for axis in range(n):
-            pad = [(0, 0)] * n
-            pad[axis] = (STENCIL_REACH, STENCIL_REACH)
-            padded = np.pad(box, pad, constant_values=NEG_INF)
-
-            def terms():
-                for k, lw in enumerate(log_w):
-                    yield np.take(padded, np.arange(k, k + n_sites), axis=axis) + lw
-
-            top = functools.reduce(np.maximum, terms())
-            top[np.isneginf(top)] = 0.0  # a cell with no finite term stays -inf below
-            acc = sum(np.exp(t - top) for t in terms())
-            with np.errstate(divide="ignore"):
-                box = np.log(acc) + top
-        return box.ravel()[flat]
-
-    return states, apply
-
-
-def _checked_box(n: int, n_sites: int) -> tuple[ee.StateSpace, np.ndarray]:
-    """``_chamber_box`` after the cap and budget checks of a killed step."""
+    G is the lattice chamber operator of the stencil kernel,
+    ``ee.step_matrix(...).forward``: n one-curve factors, with moves that
+    leave the chamber or the cap dropped.  The stencil is symmetric, so G
+    is symmetric and the forward chain P^T is G itself: ``G @ v`` steps
+    in linear space and ``G.log_rows`` in exact log space.  Raises
+    TooLarge when the chamber or the factors exceed the budget."""
     if n_sites < n:
         raise ValueError("height cap too small for n ordered curves")
-    if n_sites**n > ee.state_budget():
-        raise ee.TooLarge(f"{n_sites}^{n} box cells exceed budget {ee.state_budget():g}")
-    return _chamber_box(n, n_sites)
+    states = ee.enumerate_states(n, n_sites)
+    return states, ee.step_matrix(states, _stencil_kernel()).forward
 
 
-def _stencil() -> np.ndarray:
-    """Per-coordinate step weights e^{-m^2/2}, |m| <= STENCIL_REACH, normalized."""
-    stencil = np.exp(-0.5 * np.arange(-STENCIL_REACH, STENCIL_REACH + 1) ** 2)
-    return stencil / stencil.sum()
+def _stencil_kernel() -> Kernel:
+    """The per-coordinate step: weights e^{-m^2/2}, |m| <= STENCIL_REACH,
+    normalized over the stencil."""
+    offsets = np.arange(-STENCIL_REACH, STENCIL_REACH + 1)
+    stencil = np.exp(-0.5 * offsets**2)
+    return make_kernel(offsets, stencil / stencil.sum())
 
 
 def check_polymer_budget(n: int, grid: GridSpec) -> None:
-    """Raise TooLarge when one polymer pass, box cells x stencil taps x
-    n axes x steps multiply-adds, exceeds 20 times the budget."""
+    """Raise TooLarge when one polymer pass, counted as box cells x stencil
+    taps x n axes x steps multiply-adds, exceeds 20 times the budget.  The
+    box {1..n_sites}^n holds every factor stage, so the count bounds the
+    factored step's work from above."""
     work = grid.n_sites**n * (2 * STENCIL_REACH + 1) * n * grid.n_steps
     if work > 20 * ee.state_budget():
         raise ee.TooLarge(f"polymer pass of {work:.3g} multiply-adds exceeds budget")
@@ -321,10 +269,10 @@ def _polymer_messages(
     f0, bT = _boundary_vectors(n, grid, boundary, states)
 
     def forward(log_v, steps):
-        return _scaled_pass(lambda v: g(v * tilt), log_v, steps) + steps * top
+        return _scaled_pass(lambda v: g @ (v * tilt), log_v, steps) + steps * top
 
     def backward(log_v, steps):
-        return _scaled_pass(lambda v: g(v) * tilt, log_v, steps) + steps * top
+        return _scaled_pass(lambda v: (g @ v) * tilt, log_v, steps) + steps * top
 
     rest = grid.n_steps - j
     ends = np.flatnonzero(np.isfinite(f0))
@@ -339,12 +287,12 @@ def _polymer_messages(
             fwd = forward(fwd, j - rest)
     # a tilt spanning more than ~708 nats flushes part of itself
     if top - log_tilt.min() > -ee._LOG_TINY or _may_have_lost_mass(states, ((fwd, f0, j), (bwd, bT, rest))):
-        _, log_g = _log_killed_step(n, grid.n_sites)
+        every = slice(None)
         fwd, bwd = f0, bT
         for _ in range(j):
-            fwd = log_g(fwd + log_tilt)
+            fwd = g.log_rows(every, fwd + log_tilt)
         for _ in range(rest):
-            bwd = log_tilt + log_g(bwd)
+            bwd = log_tilt + g.log_rows(every, bwd)
     return states, fwd, bwd
 
 
@@ -444,7 +392,7 @@ def stationary_density(
     def sym(v: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
-        return half * g(half * v)
+        return half * (g @ (half * v))
 
     op = LinearOperator((states.size, states.size), matvec=sym, dtype=float)
     try:

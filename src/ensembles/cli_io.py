@@ -5,8 +5,8 @@ Usage:  ensembles <experiment> --config <path> [--out <dir>] [--seed <u64>]
         [--threads <k>]
 
 The env var ENSEMBLES_BUDGET overrides the size budget (states, operator
-entries, oracle box cells; default 5e7; a polymer pass may take 20 times
-it in stencil multiply-adds).  Given (config, seed), artifacts are
+and factor entries; default 5e7; a polymer pass may take 20 times it in
+stencil multiply-adds, counted over the oracle's box of n_sites^n cells).  Given (config, seed), artifacts are
 byte-stable across runs and thread counts; wall-clock timings live in
 the envelope's "timings" key and are the only non-reproducible field.
 """
@@ -377,6 +377,9 @@ def _validate_config(cfg: RunConfig) -> None:
         build_mcmc_params(cfg, cfg.get("seed", 0))
     if exp == "dominance" and cfg.get("dominance.walk_side") and cfg.get("model.lambda") is None:
         raise MissingRequired("dominance.walk_side needs model.lambda")
+    if exp == "converge" and cfg["converge.u_top"] < cfg["model.n"]:
+        # the start (u_top, u_top - 1, ...) must keep all model.n curves above the wall
+        raise ConfigError(f"converge.u_top = {cfg['converge.u_top']} is below model.n = {cfg['model.n']}")
 
 
 # ---------------------------------------------------------------------------

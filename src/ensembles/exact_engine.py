@@ -702,15 +702,16 @@ def conditional_bridge_law(
 # exact sampling
 
 
-def categorical(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise draws from nonnegative weights: the first index whose
-    cumulative weight exceeds u times the row total, so a zero-weight entry
-    is never drawn, even for u = 0.  ``weights`` is (R, K), or (1, K) to
-    share one row among all R uniforms in ``u``."""
-    top = weights.max(axis=1, keepdims=True)
-    if not np.all(top > 0):
+def categorical(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise draws from log weights: the first index whose cumulative
+    weight exceeds u times the row total, so a -inf entry is never drawn,
+    even for u = 0.  Each row is shifted by its own largest weight before
+    it leaves log space.  ``log_w`` is (R, K), or (1, K) to share one row
+    among all R uniforms in ``u``."""
+    top = log_w.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(top)):
         raise ValueError("cannot sample from zero mass")
-    cum = np.cumsum(weights / top, axis=1)  # totals in [1, K]: u * total < total
+    cum = np.cumsum(np.exp(log_w - top), axis=1)  # totals in [1, K]: u * total < total
     if cum.shape[0] == 1:
         return np.searchsorted(cum[0], u * cum[0, -1], side="right")
     return (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
@@ -735,11 +736,11 @@ def ffbs(steps: int, first, last, us: np.ndarray, weigh) -> np.ndarray:
     cols = iter(us.T)
     ids = np.empty((steps + 1, r), dtype=np.int64)
     ids[0] = first
-    ids[steps] = categorical(_shifted_exp(last), next(cols)) if np.ndim(last) == 2 else last
+    ids[steps] = categorical(last, next(cols)) if np.ndim(last) == 2 else last
     rows = np.arange(r)
     for t in range(steps - 1, 0, -1):
         cand, log_w = weigh(t, ids[t + 1])
-        ids[t] = cand[rows, categorical(_shifted_exp(log_w), next(cols))]
+        ids[t] = cand[rows, categorical(log_w, next(cols))]
     return ids
 
 
@@ -780,13 +781,6 @@ def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     last = states.ids(spec.boundary.v) if isinstance(spec.boundary, Bridge) else forward[-1][None, :]
     ids = ffbs(spec.width - 1, states.ids(spec.boundary.u), last, us, weigh)
     return np.ascontiguousarray(states.arr[ids].transpose(1, 2, 0))
-
-
-def _shifted_exp(log_w: np.ndarray) -> np.ndarray:
-    """exp of (R, K) log weights, each row shifted by its maximum; a row
-    with no finite weight stays all zero."""
-    top = log_w.max(axis=1, keepdims=True)
-    return np.exp(log_w - np.where(np.isfinite(top), top, 0.0))
 
 
 def exact_sample(

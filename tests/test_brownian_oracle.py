@@ -44,7 +44,7 @@ def killed_stencil_matrix(states):
 def applied_matrix(n, n_sites):
     """States and the killed step as a dense matrix, one applied column each."""
     states, g = bo._killed_step(n, n_sites)
-    return states, np.column_stack([g(e) for e in np.eye(states.size)])
+    return states, np.column_stack([g @ e for e in np.eye(states.size)])
 
 
 class TestKilledStep:
@@ -54,7 +54,7 @@ class TestKilledStep:
         assert np.allclose(applied, killed_stencil_matrix(states), rtol=1e-13, atol=1e-16)
 
     def test_one_grid_enumerates_its_chamber_once(self, monkeypatch):
-        bo._chamber_box.cache_clear()
+        bo._killed_step.cache_clear()
         calls = []
         real = ee.enumerate_states
         monkeypatch.setattr(ee, "enumerate_states", lambda *a: calls.append(a) or real(*a))
@@ -62,6 +62,26 @@ class TestKilledStep:
         bo.stationary_density(2, 1.0, 2.0, grid)
         bo.zero_bc_extrapolate(2, 1.0, 2.0, grid)
         assert calls == [(2, 20)]
+
+    def test_factors_over_budget_raise_before_any_matvec(self, monkeypatch):
+        # C(40, 2) = 780 states fit a budget of 1000; 13 taps x (stage-1 + 780) rows do not
+        monkeypatch.setenv("ENSEMBLES_BUDGET", "1000")
+        bo._killed_step.cache_clear()
+        applied = []
+        monkeypatch.setattr(ee._Chain, "__matmul__", lambda chain, v: applied.append(v))
+        grid = bo.GridSpec(dx=0.25, height_cap=10.0, m_half=0.25)
+        assert grid.n_sites == 40
+        with pytest.raises(ee.TooLarge, match="one-curve factors"):
+            bo.stationary_density(2, 1.0, 2.0, grid)
+        assert applied == []
+
+    def test_cap_below_curve_count_raises(self):
+        grid = bo.GridSpec(dx=0.5, height_cap=1.0, m_half=0.25)
+        assert grid.n_sites == 2
+        with pytest.raises(ValueError, match="height cap too small"):
+            bo.stationary_density(3, 1.0, 2.0, grid)
+        with pytest.raises(ValueError, match="height cap too small"):
+            bo.polymer_marginal(3, 1.0, 2.0, grid, bo.ZeroBC(), 0.0)
 
 
 class TestGridSpec:
@@ -239,8 +259,8 @@ class TestMirroredHalfPass:
         states, g = bo._killed_step(n, grid.n_sites)
         tilt = np.exp(bo._tilt_log_vector(states, a, b, grid.dx))
         f0, bT = bo._boundary_vectors(n, grid, boundary, states)
-        fwd = bo._scaled_pass(lambda v: g(v * tilt), f0, j)
-        bwd = bo._scaled_pass(lambda v: g(v) * tilt, bT, grid.n_steps - j)
+        fwd = bo._scaled_pass(lambda v: g @ (v * tilt), f0, j)
+        bwd = bo._scaled_pass(lambda v: (g @ v) * tilt, bT, grid.n_steps - j)
         return fwd, bwd
 
     @pytest.mark.parametrize("n", [1, 2])

@@ -176,6 +176,12 @@ class TestParseConfig:
         with pytest.raises(cio.ConfigError, match="requested"):
             cio.parse_config(EXACT_CFG, experiment="mixing")
 
+    def test_converge_start_below_curve_count_rejected(self):
+        two = CONVERGE_CFG.replace("model.n = 1", "model.n = 2")
+        with pytest.raises(cio.ConfigError, match="converge.u_top = 1 is below model.n = 2"):
+            cio.parse_config(two + "converge.u_top = 1\n")
+        assert cio.parse_config(two + "converge.u_top = 2\n")["converge.u_top"] == 2
+
     def test_hash_changes_with_config(self):
         h1 = cio.config_hash(cio.parse_config(EXACT_CFG))
         h2 = cio.config_hash(cio.parse_config(EXACT_CFG.replace("seed = 7", "seed = 8")))
@@ -279,7 +285,7 @@ class TestRun:
         cfg = cio.parse_config(text)
         outs = []
         for name, threads in (("a", 1), ("b", 2)):
-            bo._chamber_box.cache_clear()
+            bo._killed_step.cache_clear()
             cio.run(cfg, tmp_path / name, threads=threads)
             blob = b""
             for f in sorted((tmp_path / name).glob("*.csv")):
@@ -432,7 +438,7 @@ slope.eta = 2.0
         assert cio.main(["slope", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
 
     def test_import_leaves_solver_modules_unloaded(self):
-        # scipy.ndimage and scipy.sparse.linalg load only when the oracle runs
+        # scipy.sparse.linalg loads only when the oracle runs; no module of the library imports scipy.ndimage
         code = (
             "import sys, ensembles.cli_io; "
             "print(sorted(m for m in ('scipy.ndimage', 'scipy.sparse.linalg') if m in sys.modules))"
