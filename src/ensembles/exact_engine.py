@@ -7,7 +7,8 @@ underflowed float.  Exact sampling is forward filtering / backward
 sampling: one batched draw per time step for all samples, each weighing
 the candidates of one row of the step's CSR transpose ``matrix_t`` (at
 most |offsets|^n) in log space, with one spawned random stream per
-sample.
+sample.  The streams are derived in one batch (``_streams``), bit for
+bit equal to numpy's spawned ones.
 ``TransferStep`` is the one chamber operator.  It holds the step as n
 one-curve sparse factors, which the message passes and the block
 sampler's forward tables apply; the product CSR and its transpose are
@@ -29,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _linalg as la
+from ._streams import spawned_uniforms
 from .model_core import (
     NEG_INF,
     Bridge,
@@ -198,12 +200,16 @@ def _curve_factors(states: StateSpace, kernel: Kernel) -> tuple[sp.csr_matrix, .
     return tuple(factors)
 
 
+def _every_row(rows) -> bool:
+    return isinstance(rows, slice) and rows == slice(None)
+
+
 def _log_rows(mat: sp.csr_matrix, rows, log_v: np.ndarray) -> np.ndarray:
     """log (mat @ exp(log_v)) at the selected rows, over the last axis of
     the (..., S) log_v, summed in log space: a message step that no shared
     shift can underflow.  Its one large array, the (..., rows, K) table of
     terms padded to the longest row, is held to the budget."""
-    sub = mat[rows]
+    sub = mat if _every_row(rows) else mat[rows]
     counts = np.diff(sub.indptr)
     shape = log_v.shape[:-1] + (counts.size, max(counts.max(initial=0), 1))
     if math.prod(shape) > state_budget():
@@ -232,7 +238,12 @@ class _Chain(tuple):
     def log_rows(self, rows, log_v: np.ndarray) -> np.ndarray:
         """log (chain @ exp(log_v)) at the selected rows, over the last
         axis of the (..., S) log_v: each factor is summed in log space by
-        ``_log_rows``, over only the rows that the selected ones read."""
+        ``_log_rows``, over only the rows that the selected ones read.
+        ``rows=slice(None)`` sums every row of every factor, as it is."""
+        if _every_row(rows):
+            for f in self:
+                log_v = _log_rows(f, rows, log_v)
+            return log_v
         need = [rows]
         for f in self[:0:-1]:
             need.append(np.flatnonzero(np.bincount(f[need[-1]].indices, minlength=f.shape[1])))
@@ -796,14 +807,12 @@ def exact_sample(
     each weighing at most |offsets|^n predecessor candidates in log
     space.  Every sample consumes its own spawned random stream, so
     sample i is the same for any count > i and results do not depend on
-    batching.
+    batching.  The streams are derived for all samples in one vectorized
+    pass, equal bit for bit to those of
+    ``default_rng(SeedSequence(seed).spawn(count)[i])``.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     if count == 0:
         return []
+    us = spawned_uniforms(seed, count, sample_draws(spec))  # a bad count raises before any work
     res = ensemble_messages(spec, kernel, tilt)
-    k = sample_draws(spec)
-    children = np.random.SeedSequence(seed).spawn(count)
-    us = np.array([np.random.default_rng(c).random(k) for c in children])
     return path_configs(sample_heights(res, us), spec)

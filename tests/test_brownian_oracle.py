@@ -53,6 +53,18 @@ class TestKilledStep:
         states, applied = applied_matrix(n, n_sites)
         assert np.allclose(applied, killed_stencil_matrix(states), rtol=1e-13, atol=1e-16)
 
+    def test_full_log_step_uses_the_factors_as_they_are(self, monkeypatch):
+        # the oracle-n2 grid: n = 2 on 190 sites, S = 17955
+        states, g = bo._killed_step(2, 190)
+        rng = np.random.default_rng(5)
+        log_v = rng.normal(size=states.size) * 30.0
+        log_v[rng.random(states.size) < 0.1] = -np.inf
+        selected = g.log_rows(np.arange(states.size), log_v)
+        indexed = []
+        monkeypatch.setattr(type(g[0]), "__getitem__", lambda mat, key: indexed.append(key))
+        assert g.log_rows(slice(None), log_v).tobytes() == selected.tobytes()
+        assert indexed == []
+
     def test_one_grid_enumerates_its_chamber_once(self, monkeypatch):
         bo._killed_step.cache_clear()
         calls = []

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -699,6 +700,11 @@ class TestExactSample:
         spec = bridge_spec(1, 0, 3, (1,), (2,), x_max=6)
         assert ee.exact_sample(spec, lazy, tilt_of(), seed=0, count=0) == []
 
+    def test_negative_count_raises(self, lazy):
+        spec = bridge_spec(1, 0, 3, (1,), (2,), x_max=6)
+        with pytest.raises(ValueError, match="count"):
+            ee.exact_sample(spec, lazy, tilt_of(), seed=0, count=-1)
+
     def test_chi_square_against_marginals(self, lazy):
         spec = bridge_spec(1, 0, 4, (1,), (1,), x_max=8)
         tilt = tilt_of(lam=0.5)
@@ -709,6 +715,34 @@ class TestExactSample:
             for s in samples:
                 counts[res.states.id_of(s.column(t))] += 1
             assert chi_square_p(counts, ee.marginal_from_messages(res, t).probs) > 0.001
+
+    # sha256 of the stacked little-endian int64 heights, recorded when each
+    # sample still built its own numpy generator from SeedSequence(seed).spawn
+    PINNED_DRAWS = {
+        "ffbs-S66-bridge": (
+            lambda: (mc.EnsembleSpec(n=1, m_left=0, n_right=4, boundary=mc.Bridge(u=(1,), v=(1,)),
+                                     x_max=mc.default_x_max(0.5, 1)), mc.unit_walk(), tilt_of(lam=0.5), 7, 6000),
+            "0b07ae6d6396819b89ba2643d6bcbf70c221c711b77382a73f7ccb79b363b16f",
+        ),
+        "walk-n2": (
+            lambda: (walk_spec(2, -6, 6, (3, 1), x_max=16), mc.simple_walk(), tilt_of(lam=0.8), 5, 300),
+            "6f92c18a4e3b5eedc467c5ec6bc3e7c3ec866eebced1a52056e7434b5b0f9e61",
+        ),
+        "lazy-bridge-n3": (
+            lambda: (bridge_spec(3, 0, 8, (6, 3, 1), (5, 3, 1), x_max=15), mc.lazy_walk(), tilt_of(lam=0.8),
+                     2**40 + 3, 250),
+            "8df87d4ab643400ce9845efca053210ea2882d170b86e4b514f08a492c56e641",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DRAWS))
+    def test_pinned_draws(self, name):
+        """A change of the random streams or of FFBS changes these draws."""
+        make, digest = self.PINNED_DRAWS[name]
+        spec, kernel, tilt, seed, count = make()
+        heights = np.stack([p.heights for p in ee.exact_sample(spec, kernel, tilt, seed=seed, count=count)])
+        assert heights.shape == (count, spec.n, spec.width)
+        assert hashlib.sha256(heights.astype("<i8").tobytes()).hexdigest() == digest
 
 
     @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
