@@ -8,7 +8,9 @@ sampling: one batched draw per time step for all samples, each weighing
 the candidates of one row of the step's CSR transpose ``matrix_t`` (at
 most |offsets|^n) in log space, with one spawned random stream per
 sample.  The streams are derived in one batch (``_streams``), bit for
-bit equal to numpy's spawned ones.
+bit equal to numpy's spawned ones.  The messages of a draw run on the
+states up to the window's reach, the highest top curve that a path of
+the window can climb to, when that lies below the cap's near band.
 ``TransferStep`` is the one chamber operator.  It holds the step as n
 one-curve sparse factors, which the message passes and the block
 sampler's forward tables apply; the product CSR and its transpose are
@@ -22,7 +24,7 @@ import itertools
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -618,26 +620,6 @@ def _log_joint(
     return joint + right
 
 
-def marginalize_product(dist: Distribution, keep_times: Sequence[int]) -> Distribution:
-    """Marginal of a product law onto a subset of its times."""
-    kind, n, x_max, times = dist.space
-    if kind != "chamber_product":
-        raise SpaceMismatch("not a product-law distribution")
-    keep = tuple(int(t) for t in keep_times)
-    if any(t not in times for t in keep):
-        raise ValueError("keep_times must be a subset of the law's times")
-    s = round(len(dist.log_weights) ** (1.0 / len(times))) if times else 1
-    arr = dist.log_weights.reshape((s,) * len(times))
-    drop = tuple(i for i, t in enumerate(times) if t not in keep)
-    if drop:
-        arr = la.logsumexp(arr, axis=drop)
-    return Distribution(
-        space=("chamber_product", n, x_max, keep),
-        log_weights=np.asarray(arr).ravel(),
-        meta={"times": keep, **({"states": dist.meta["states"]} if "states" in dist.meta else {})},
-    )
-
-
 @dataclass(frozen=True)
 class ConditionalLaw:
     """Interior bridge law plus the two-route consistency diagnostic."""
@@ -713,19 +695,31 @@ def conditional_bridge_law(
 # exact sampling
 
 
-def categorical(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise draws from log weights: the first index whose cumulative
-    weight exceeds u times the row total, so a -inf entry is never drawn,
-    even for u = 0.  Each row is shifted by its own largest weight before
-    it leaves log space.  ``log_w`` is (R, K), or (1, K) to share one row
-    among all R uniforms in ``u``."""
+def cumulative_weights(log_w: np.ndarray) -> np.ndarray:
+    """The cumulative weights of (R, K) rows of log weights, each row
+    shifted by its own largest weight before it leaves log space: totals
+    in [1, K].  A row of zero mass (all -inf, or NaN) raises."""
     top = log_w.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(top)):
         raise ValueError("cannot sample from zero mass")
-    cum = np.cumsum(np.exp(log_w - top), axis=1)  # totals in [1, K]: u * total < total
+    return np.cumsum(np.exp(log_w - top), axis=1)
+
+
+def pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise draws from (R, K) cumulative weights: the first index whose
+    cumulative weight exceeds u times the row total, so a zero-weight
+    entry is never drawn, even for u = 0 (u * total < total).  ``cum`` may
+    be (1, K) to share one row among all R uniforms in ``u``."""
     if cum.shape[0] == 1:
         return np.searchsorted(cum[0], u * cum[0, -1], side="right")
     return (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+
+
+def categorical(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise draws from log weights, ``pick`` on their
+    ``cumulative_weights``: a -inf entry is never drawn.  ``log_w`` is
+    (R, K), or (1, K) to share one row among all R uniforms in ``u``."""
+    return pick(cumulative_weights(log_w), u)
 
 
 def ffbs(steps: int, first, last, us: np.ndarray, weigh) -> np.ndarray:
@@ -736,12 +730,12 @@ def ffbs(steps: int, first, last, us: np.ndarray, weigh) -> np.ndarray:
     1, S) log end weights to draw them from; a single row is shared by
     all R draws.  ``weigh(t, nxt)`` is the caller's weighing of a draw's
     candidates: for the (R,) ids at t + 1 it returns the (R, K) ids of
-    the states that step to them and the candidates' log weights, -inf
-    never drawn.  Each draw's weights are shifted by its own largest one
-    before they leave log space, so no candidate underflows against
-    states it does not compete with.  ``us`` is (R, k) uniforms taken
-    column by column: the end when drawn, then times T-1 down to 1.
-    Returns (T+1, R) state ids.
+    the states that step to them and the candidates'
+    ``cumulative_weights`` (a zero-weight candidate is never drawn), from
+    log weights shifted by each draw's own largest one, so no candidate
+    underflows against states it does not compete with.  ``us`` is (R, k)
+    uniforms taken column by column: the end when drawn, then times T-1
+    down to 1.  Returns (T+1, R) state ids.
     """
     r = us.shape[0]
     cols = iter(us.T)
@@ -750,8 +744,8 @@ def ffbs(steps: int, first, last, us: np.ndarray, weigh) -> np.ndarray:
     ids[steps] = categorical(last, next(cols)) if np.ndim(last) == 2 else last
     rows = np.arange(r)
     for t in range(steps - 1, 0, -1):
-        cand, log_w = weigh(t, ids[t + 1])
-        ids[t] = cand[rows, categorical(log_w, next(cols))]
+        cand, cum = weigh(t, ids[t + 1])
+        ids[t] = cand[rows, pick(cum, next(cols))]
     return ids
 
 
@@ -776,9 +770,9 @@ def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     ``res``, one per row of the (R, sample_draws) uniforms ``us``.
 
     A draw weighs its candidates, read from the rows of ``matrix_t``, in
-    log space, forward[t] + log_tilt + log p, for ``ffbs`` to shift by
-    the draw's own largest weight; no exp'd copy of the messages is
-    made."""
+    log space, forward[t] + log_tilt + log p, and takes their
+    ``cumulative_weights``, shifted by the draw's own largest weight; no
+    exp'd copy of the messages is made."""
     spec, states, step = res.spec, res.states, res.step
     if not np.isfinite(res.log_z):
         raise ValueError("ensemble has zero total mass; nothing to sample")
@@ -787,11 +781,23 @@ def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     def weigh(t, nxt):
         pos, real = column_candidates(mat_t, nxt)
         cand = mat_t.indices[pos]
-        return cand, np.where(real, forward[t][cand] + log_tilt[cand] + np.log(mat_t.data[pos]), NEG_INF)
+        log_w = np.where(real, forward[t][cand] + log_tilt[cand] + np.log(mat_t.data[pos]), NEG_INF)
+        return cand, cumulative_weights(log_w)
 
     last = states.ids(spec.boundary.v) if isinstance(spec.boundary, Bridge) else forward[-1][None, :]
     ids = ffbs(spec.width - 1, states.ids(spec.boundary.u), last, us, weigh)
     return np.ascontiguousarray(states.arr[ids].transpose(1, 2, 0))
+
+
+def _reach(spec: EnsembleSpec, kernel: Kernel) -> int:
+    """The highest top-curve height of any state with a finite forward or
+    backward message: no path of a walk from u climbs above u_top +
+    (width - 1)·max_step, and none of a bridge above max(u_top, v_top) +
+    (width - 1)·max_step."""
+    top = spec.boundary.u[0]
+    if isinstance(spec.boundary, Bridge):
+        top = max(top, spec.boundary.v[0])
+    return top + (spec.width - 1) * kernel.max_step
 
 
 def exact_sample(
@@ -810,9 +816,29 @@ def exact_sample(
     batching.  The streams are derived for all samples in one vectorized
     pass, equal bit for bit to those of
     ``default_rng(SeedSequence(seed).spawn(count)[i])``.
+
+    When the window's ``_reach`` lies below x_max's near band, the messages
+    run on the states up to the reach alone, and every draw is the full
+    space's, bit for bit.  The states are in lexicographic order, top
+    curve first, so these are a prefix of the full space, in the same
+    order.  A draw reads forward messages, and a state left out has a
+    -inf one: it adds exactly 0.0 to every forward sum and to every
+    draw's cumulative weights.  Its backward message is -inf too for a
+    bridge.  For a walk it is finite, but the forward pass reads backward
+    messages only in its bound on rows to redo in log space, and on the
+    reachable states these are the full space's while each backward
+    step's shift, the largest entry of the row it steps from, lies below
+    the reach; that entry lies near the wall.  No reachable state is in
+    the near band, so no cutoff warning fires on either space.
     """
     if count == 0:
         return []
     us = spawned_uniforms(seed, count, sample_draws(spec))  # a bad count raises before any work
-    res = ensemble_messages(spec, kernel, tilt)
+    cap = _reach(spec, kernel)
+    if cap < spec.x_max - CUTOFF_NEAR:
+        if isinstance(spec.boundary, Bridge):
+            _bridge_parity_check(spec, kernel)
+        res = _compute_messages(replace(spec, x_max=cap), kernel, tilt)
+    else:
+        res = ensemble_messages(spec, kernel, tilt)
     return path_configs(sample_heights(res, us), spec)

@@ -16,6 +16,9 @@ met before are built in one batched pass on the chamber operator's
 one-curve factors.  One backward draw by ``ee.ffbs`` follows: each row
 weighs at most |offsets|^n predecessor candidates, read from the step's
 cached (S, K) padded table, in log space against its start's rows.  The
+cumulative weights of each (start, time, state) row are stored beside
+the memo table on the row's first visit and read back on every later
+one, so a chain that comes back to a row does not weigh it again.  The
 starting configurations are one exact draw (``ee.sample_heights``,
 weighed in log space) from the untilted ensemble.  Kept samples are
 stored in one array and validated once per run.
@@ -24,6 +27,7 @@ stored in one array and validated once per run.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -102,14 +106,16 @@ class ChainDiagnostics:
 class _LocalSpace:
     """The chamber operator on a block's local space and its memo of exact
     log forward tables, one per block length m.  ``memo[m]`` is (slots,
-    table): the (m + 1, S) rows of start state s are ``table[slots[s]]``,
-    and slot -1 marks a start not met yet.  A start's rows depend on the
-    start alone, so every chain and block that starts there reads them."""
+    table, rows): the (m + 1, S) rows of start state s are
+    ``table[slots[s]]``, slot -1 marks a start not met yet, and ``rows``
+    holds the cumulative candidate rows drawn so far from the table
+    (``_CandidateRows``).  A start's rows depend on the start alone, so
+    every chain and block that starts there reads them."""
 
     def __init__(self, step: ee.TransferStep, max_step: int):
         self.step = step
         self.max_step = max_step
-        self.memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.memo: dict[int, tuple[np.ndarray, np.ndarray, _CandidateRows]] = {}
 
     @cached_property
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -119,29 +125,91 @@ class _LocalSpace:
         with np.errstate(divide="ignore"):
             return pred, np.log(probs)
 
-    def forward_rows(self, m: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The slots of ``starts`` and the (slots, m + 1, S) table of length
-        m, after one batched ``_forward_log_rows`` over the starts not met
-        yet.  The table is held to the budget: when the new starts would
-        take it over, it keeps only this call's starts.  The slot array and
-        the table are replaced together, so a reader never pairs one with
-        the other's predecessor."""
+    def forward_rows(self, m: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _CandidateRows]:
+        """The slots of ``starts``, the (slots, m + 1, S) table of length m
+        and its candidate rows, after one batched ``_forward_log_rows``
+        over the starts not met yet.  The table, the rows' positions and
+        the stored rows are held to the budget together: when the new
+        starts would take them over, the table keeps only this call's
+        starts and the stored rows are dropped, since the slots are
+        renumbered.  The three are replaced together, so a reader never
+        pairs one with another's predecessor."""
         size = self.step.states.size
-        slots, table = self.memo.get(m, (np.full(size, -1), np.empty((0, m + 1, size))))
+        empty = (np.full(size, -1), np.empty((0, m + 1, size)), None)
+        slots, table, rows = self.memo.get(m, empty)
         new = np.unique(starts[slots[starts] < 0])
         if new.size:
-            rows = _forward_log_rows(self.step, self.max_step, new, m)
-            if (len(table) + new.size) * (m + 1) * size > ee.state_budget():
+            fresh = _forward_log_rows(self.step, self.max_step, new, m)
+            stored = rows.store[: rows.used].size if rows else 0
+            if 2 * (len(table) + new.size) * (m + 1) * size + stored > ee.state_budget():
                 keep = np.unique(starts[slots[starts] >= 0])
                 table = table[slots[keep]]
                 slots = np.full(size, -1)
                 slots[keep] = np.arange(keep.size)
+                rows = None
             else:
                 slots = slots.copy()
             slots[new] = len(table) + np.arange(new.size)
-            table = np.concatenate([table, rows])
-            self.memo[m] = (slots, table)
-        return slots[starts], table
+            table = np.concatenate([table, fresh])
+            rows = _CandidateRows(table, *self.candidates, rows)
+            self.memo[m] = (slots, table, rows)
+        return slots[starts], table, rows
+
+
+class _CandidateRows:
+    """The cumulative candidate rows of one block-memo table, stored as
+    block redraws first visit them.  The draw at time t from the state
+    ``nxt`` at t + 1, for the start in ``slot``, weighs the row keyed by
+    its place in the flat table, slot·(m + 1)·S + t·S + nxt: ``at[key]``
+    is that row's place in ``store``, -1 before its first visit.  A row is
+    built on that visit by ``ee.cumulative_weights`` from the log weights
+    a draw weighs, so every reuse is bit for bit a fresh draw's row.
+
+    Built with the rows of ``old``, a table's predecessor whose slots keep
+    their numbers, it starts with their rows.  The table, the positions and
+    the stored rows are held to the budget together: a fill that would
+    take them over drops the stored rows first.  One lock guards each
+    lookup and fill."""
+
+    def __init__(self, table: np.ndarray, pred: np.ndarray, log_probs: np.ndarray, old: _CandidateRows | None):
+        self.table, self.pred, self.log_probs = table, pred, log_probs
+        self.at = np.full(table.size, -1)
+        self.store = np.empty((0, pred.shape[1]))
+        self.used = 0
+        self.lock = threading.Lock()
+        if old is not None:
+            with old.lock:
+                self.at[: old.at.size] = old.at
+                self.store = old.store[: old.used].copy()
+                self.used = old.used
+
+    def build(self, keys: np.ndarray) -> np.ndarray:
+        """The cumulative rows of the distinct ``keys``."""
+        nxt = keys % self.table.shape[2]
+        log_w = self.table.reshape(-1)[(keys - nxt)[:, None] + self.pred[nxt]] + self.log_probs[nxt]
+        return ee.cumulative_weights(log_w)
+
+    def take(self, keys: np.ndarray) -> np.ndarray:
+        """The (R, K) cumulative rows at ``keys``, each built on its first
+        visit."""
+        with self.lock:
+            at = self.at[keys]
+            if (at < 0).any():
+                new = np.unique(keys[at < 0])
+                if self.used + new.size > len(self.store):
+                    k = self.store.shape[1]
+                    limit = int(ee.state_budget() - 2 * self.at.size) // k  # rows the budget leaves
+                    if self.used + new.size > limit:  # drop the stored rows
+                        self.at.fill(-1)
+                        self.used, new = 0, np.unique(keys)
+                    grown = np.empty((max(self.used + new.size, min(2 * len(self.store), limit)), k))
+                    grown[: self.used] = self.store[: self.used]
+                    self.store = grown
+                self.store[self.used : self.used + new.size] = self.build(new)
+                self.at[new] = self.used + np.arange(new.size)
+                self.used += new.size
+                at = self.at[keys]
+            return self.store[at]
 
 
 @lru_cache(maxsize=32)
@@ -299,14 +367,12 @@ def _apply_block_batch(
     local = _local_transfer(spec.n, x_loc, kernel, tilt)
     states = local.step.states
     start = states.ids(win[:, :, 0])
-    slot, table = local.forward_rows(m, start)
-    pred, log_probs = local.candidates
-    flat, size = table.reshape(-1), states.size
-    base = slot * ((m + 1) * size)  # where each row's table starts in ``flat``
+    slot, table, rows = local.forward_rows(m, start)
+    pred, size = local.candidates[0], states.size
+    base = slot * ((m + 1) * size)  # where each row's table starts, flat
 
     def weigh(t, nxt):
-        cand = pred[nxt]  # (R, K); a padding candidate has log probability -inf
-        return cand, flat[(base + t * size)[:, None] + cand] + log_probs[nxt]
+        return pred[nxt], rows.take(base + t * size + nxt)
 
     last = table[slot, m] if free else states.ids(win[:, :, m])
     idx = ee.ffbs(m, start, last, block_us, weigh)

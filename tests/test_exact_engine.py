@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from ensembles import brownian_oracle as bo
 from ensembles import exact_engine as ee
 from ensembles import gibbs_sampler as gs
 from ensembles import model_core as mc
+from ensembles._linalg import logsumexp
+from ensembles._streams import spawned_uniforms
 
 
 def tilt_of(a=1.0, b=2.0, lam=1.0):
@@ -26,6 +29,16 @@ def bridge_spec(n, m, nr, u, v, x_max):
 
 def walk_spec(n, m, nr, u, x_max):
     return mc.EnsembleSpec(n=n, m_left=m, n_right=nr, boundary=mc.Walk(u=u), x_max=x_max)
+
+
+def marginalize_product(dist, keep_times):
+    """The marginal of a product law onto the sorted subset ``keep_times``
+    of its times."""
+    kind, n, x_max, times = dist.space
+    arr = dist.log_weights.reshape((dist.meta["states"].size,) * len(times))
+    drop = tuple(i for i, t in enumerate(times) if t not in keep_times)
+    log_w = np.ravel(logsumexp(arr, axis=drop))
+    return ee.Distribution(space=(kind, n, x_max, tuple(keep_times)), log_weights=log_w)
 
 
 class TestStateSpace:
@@ -325,7 +338,7 @@ class TestLaws:
     def test_marginalization_consistency(self, lazy):
         spec = bridge_spec(1, 0, 4, (2,), (2,), x_max=7)
         joint = ee.law_restricted(spec, lazy, tilt_of(lam=0.5), [1, 2, 3])
-        sub = ee.marginalize_product(joint, [2])
+        sub = marginalize_product(joint, [2])
         direct = ee.law_restricted(spec, lazy, tilt_of(lam=0.5), [2])
         assert ee.tv_exact(sub, direct) <= 1e-12
 
@@ -791,6 +804,117 @@ class TestExactSample:
         assert all(np.array_equal(a.heights, b.heights) for a, b in zip(many[:7], few))
 
 
+class TestReachCap:
+    """``exact_sample`` runs its messages on the states up to the window's
+    reach when the reach lies below x_max's near band.  Every draw, every
+    warning and every error must be the full space's."""
+
+    TILTS = {
+        "gentle": tilt_of(lam=0.4),
+        "weak": tilt_of(a=0.05, lam=0.1),  # mass reaches the reach
+        "steep": tilt_of(a=50.0, b=4.0, lam=1.0),  # message rows redone in log space
+    }
+
+    @staticmethod
+    def full_space(spec, kernel, tilt, seed, count):
+        """The draws and warnings of the full space's messages."""
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            res = ee.ensemble_messages(spec, kernel, tilt)
+        us = spawned_uniforms(seed, count, ee.sample_draws(spec))
+        return ee.sample_heights(res, us), [(w.category, str(w.message)) for w in seen]
+
+    @staticmethod
+    def capped(spec, kernel, tilt, seed, count):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            paths = ee.exact_sample(spec, kernel, tilt, seed=seed, count=count)
+        return np.stack([p.heights for p in paths]), [(w.category, str(w.message)) for w in seen]
+
+    @pytest.mark.parametrize("above", [-1, 0, 1])  # the reach less x_max's near band
+    @pytest.mark.parametrize("kernel", ["srw", "lazy", "unit"])
+    @pytest.mark.parametrize("kind", ["bridge", "walk"])
+    @pytest.mark.parametrize("n,u,steps", [(1, (2,), 6), (2, (3, 1), 4), (3, (5, 3, 1), 4)])
+    def test_draws_and_warnings_equal_the_full_space(self, request, above, kernel, kind, n, u, steps):
+        kern = request.getfixturevalue(kernel)
+        cap = u[0] + steps * kern.max_step
+        x_max = cap - above + ee.CUTOFF_NEAR
+        if kind == "bridge":
+            spec = bridge_spec(n, 0, steps, u, u, x_max=x_max)
+        else:
+            spec = walk_spec(n, 0, steps, u, x_max=x_max)
+        assert ee._reach(spec, kern) == cap
+        for name, tilt in self.TILTS.items():
+            want, want_warned = self.full_space(spec, kern, tilt, 17, 400)
+            got, warned = self.capped(spec, kern, tilt, 17, 400)
+            assert got.tobytes() == want.tobytes(), name
+            assert warned == want_warned, name
+            assert got[:, 0].max() <= cap
+
+    def test_near_band_mass_warns_as_the_full_space(self, unit):
+        # at a cap one site above the near band the full space runs, and its
+        # band holds mass; two sites further up the reach runs, and no
+        # reachable state is in the band
+        for x_max, warned in ((9, True), (12, False)):
+            spec = walk_spec(1, 0, 4, (1,), x_max=x_max)
+            want = self.full_space(spec, unit, self.TILTS["weak"], 3, 50)
+            got = self.capped(spec, unit, self.TILTS["weak"], 3, 50)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+            assert bool(got[1]) is warned
+            assert all(cat is ee.CutoffDominatedWarning for cat, _ in got[1])
+
+    @pytest.mark.parametrize("lam", [0.2, 0.5])
+    @pytest.mark.parametrize("kind", ["bridge", "walk"])
+    def test_default_cap_draws_equal_the_full_space(self, unit, lam, kind):
+        # the blocks experiment's window 20 at lambda = 0.2: S = 12246 in
+        # full, 3321 up to the reach
+        x_max = mc.default_x_max(lam, 2)
+        if kind == "bridge":
+            spec = bridge_spec(2, -20, 20, (2, 1), (2, 1), x_max=x_max)
+        else:
+            spec = walk_spec(2, -20, 20, (2, 1), x_max=x_max)
+        want = self.full_space(spec, unit, tilt_of(lam=lam), 8, 96)
+        got = self.capped(spec, unit, tilt_of(lam=lam), 8, 96)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1] == []
+
+    def test_infeasible_bridge_raises_as_the_full_space(self, unit, srw):
+        # |u_top - v_top| = 11 > 4 steps x max_step 2: no path joins the ends
+        spec = bridge_spec(1, 0, 4, (1,), (12,), x_max=40)
+        assert ee._reach(spec, unit) < spec.x_max - ee.CUTOFF_NEAR
+        with pytest.raises(ValueError) as want:
+            self.full_space(spec, unit, tilt_of(), 0, 5)
+        with pytest.raises(ValueError) as got:
+            ee.exact_sample(spec, unit, tilt_of(), seed=0, count=5)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value) == "ensemble has zero total mass; nothing to sample"
+        odd = bridge_spec(1, 0, 4, (1,), (2,), x_max=40)
+        with pytest.raises(ee.ParityInfeasible) as want:
+            self.full_space(odd, srw, tilt_of(), 0, 5)
+        with pytest.raises(ee.ParityInfeasible) as got:
+            ee.exact_sample(odd, srw, tilt_of(), seed=0, count=5)
+        assert str(got.value) == str(want.value)
+
+    def test_three_curves_at_the_default_cap(self, unit):
+        # x_max = 158: the full space has 644956 states and the derived
+        # product CSR 644956 x 125 entries, over the default budget; the
+        # reach is 3 + 6 x 2 = 15, so 455 states
+        spec = walk_spec(3, 0, 6, (3, 2, 1), x_max=mc.default_x_max(0.2, 3))
+        tilt = tilt_of(lam=0.2)
+        assert spec.x_max == 158 and ee._reach(spec, unit) == 15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = ee.exact_sample(spec, unit, tilt, seed=6, count=4000)
+        heights = np.stack([s.heights for s in samples])
+        law_spec = replace(spec, x_max=15)
+        res = ee.ensemble_messages(law_spec, unit, tilt)
+        ids = res.states.ids(heights.transpose(0, 2, 1))
+        for t in range(1, 7):
+            counts = np.bincount(ids[:, t], minlength=res.states.size)
+            assert chi_square_p(counts, ee.marginal(law_spec, unit, tilt, t).probs) > 0.001
+
+
 def _first_above(log_weights, u):
     """Reference rule, one row at a time: first index whose cumulative
     weight, shifted by the row's largest, exceeds u times the total."""
@@ -864,8 +988,6 @@ class TestTvExact:
 
 class TestEngineInvariants:
     def test_partition_consistency_at_every_time(self, unit):
-        from ensembles._linalg import logsumexp
-
         spec = bridge_spec(2, -3, 3, (4, 2), (3, 1), x_max=30)
         res = ee.partition_bridge(spec, unit, tilt_of(lam=0.7, b=3.0))
         for c in range(spec.width):
@@ -890,6 +1012,6 @@ class TestEngineInvariants:
         spec = bridge_spec(1, 0, 5, (2,), (2,), x_max=9)
         tilt = tilt_of(lam=0.6)
         full = ee.law_restricted(spec, unit, tilt, [1, 2, 4])
-        sub = ee.marginalize_product(full, [1, 4])
+        sub = marginalize_product(full, [1, 4])
         direct = ee.law_restricted(spec, unit, tilt, [1, 4])
         assert ee.tv_exact(sub, direct) <= 1e-12

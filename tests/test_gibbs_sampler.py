@@ -152,8 +152,11 @@ class TestSteepTilt:
         assert out.heights.tolist() == [[14, 13, 12, 11, 12, 13, 14]]
 
     def test_long_steep_block_renews_shift(self, unit):
-        # a = 4: the log tilt moves up to 168 nats per step, so a 10-step
-        # block passes the exponent cap and the per-chain shift is renewed.
+        # a = 4: the log tilt moves up to 168 nats per step, so over a
+        # 10-step block a start's log forward rows span far more than a
+        # double's exponent range; the memoized rows must redo in log space
+        # every entry a step's shift may have flushed. (The name is kept
+        # from a per-chain shift renewal that the memoized rows replaced.)
         # Column 9 is checked: at column 5 the states of expected count < 5
         # pool to 0.013 draws, so one legitimate draw there fails the test.
         from conftest import chi_square_p
@@ -534,9 +537,9 @@ class TestForwardMemo:
         memo_rows, build = gs._LocalSpace.forward_rows, gs._forward_log_rows
 
         def recorded(local, m, starts):
-            slot, table = memo_rows(local, m, starts)
+            slot, table, rows = memo_rows(local, m, starts)
             seen.append((np.unique(starts).size, len(table), table.size))
-            return slot, table
+            return slot, table, rows
 
         monkeypatch.setattr(gs._LocalSpace, "forward_rows", recorded)
         monkeypatch.setattr(gs, "_forward_log_rows", lambda step, *a: built.append((step, a)) or build(step, *a))
@@ -573,6 +576,137 @@ class TestForwardMemo:
         before = sizes()
         gs.sample_paths(spec, unit, tilt_of(lam=0.25), params)
         assert before and sizes() == before
+
+
+class TestCandidateRows:
+    """Block redraws read each draw's cumulative candidate row from a store
+    beside the memo table, built on the row's first visit by the same
+    ``ee.cumulative_weights`` a fresh draw would call."""
+
+    memo = TestForwardMemo()
+
+    def _run(self, unit, case="gentle"):
+        spec, tilt = self.memo.CASES[case]
+        heights, us = self.memo._start(spec, unit, 12)
+        gs._local_transfer.cache_clear()
+        try:
+            return self.memo._sweeps(spec, heights, us, tilt, unit)
+        finally:
+            gs._local_transfer.cache_clear()
+
+    @pytest.mark.parametrize("case", sorted(TestForwardMemo.CASES))
+    def test_rows_built_once_per_slot_time_and_state(self, unit, monkeypatch, case):
+        built, taken = [], []
+        build, take = gs._CandidateRows.build, gs._CandidateRows.take
+
+        def counted(rows, keys):
+            built.extend((id(rows.pred), rows.table.shape[1], int(k)) for k in keys)
+            return build(rows, keys)
+
+        monkeypatch.setattr(gs._CandidateRows, "build", counted)
+        monkeypatch.setattr(gs._CandidateRows, "take", lambda rows, keys: taken.append(keys.size) or take(rows, keys))
+        self._run(unit, case)
+        assert built and len(built) == len(set(built))
+        assert sum(taken) > len(built)  # rows are reused
+
+    def test_draws_equal_per_draw_rows(self, unit, monkeypatch):
+        stored = self._run(unit)
+        monkeypatch.setattr(gs._CandidateRows, "take", gs._CandidateRows.build)  # each draw's row afresh
+        assert (stored == self._run(unit)).all()
+
+    def test_steep_block_draws_equal_per_draw_rows(self, unit, monkeypatch):
+        # TestSteepTilt's steep n = 3 walk, one full-window redraw per chain
+        tilt = tilt_of(a=4.0, b=4.0, lam=1.0)
+        spec = walk_spec(3, 0, 10, (14, 13, 12), x_max=16)
+        cfg = gs.init_config(spec, unit, rng=np.random.default_rng(3))
+        us = np.random.default_rng(22).random((500, 10))
+        out = []
+        for take in (gs._CandidateRows.take, gs._CandidateRows.build):
+            monkeypatch.setattr(gs._CandidateRows, "take", take)
+            gs._local_transfer.cache_clear()
+            heights = np.repeat(cfg.heights[None], 500, axis=0)
+            gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0])
+            out.append(heights)
+        gs._local_transfer.cache_clear()
+        assert (out[0] == out[1]).all()
+        assert len(np.unique(out[0].reshape(500, -1), axis=0)) > 5
+
+    def test_budget_trim_resets_the_store(self, unit, monkeypatch):
+        free = self._run(unit)
+        seen, calls = [], []
+        memo_rows, take = gs._LocalSpace.forward_rows, gs._CandidateRows.take
+
+        def recorded(local, m, starts):
+            before = local.memo.get(m)
+            slot, table, rows = memo_rows(local, m, starts)
+            if before is not None and rows is not before[2]:
+                old = before[2]
+                kept = rows.used == old.used and (rows.at[: old.at.size] == old.at).all()
+                trimmed = len(table) == np.unique(starts).size and rows.used == 0
+                seen.append((kept, trimmed, old.used))
+            return slot, table, rows
+
+        def held(rows, keys):
+            before = rows.used
+            out = take(rows, keys)
+            calls.append((2 * rows.at.size + rows.store.size, rows.used, np.unique(keys).size, before))
+            return out
+
+        monkeypatch.setattr(gs._LocalSpace, "forward_rows", recorded)
+        monkeypatch.setattr(gs._CandidateRows, "take", held)
+        self._run(unit)
+        budget = max(size for size, *_ in calls) // 2
+        seen.clear(), calls.clear()
+        monkeypatch.setenv("ENSEMBLES_BUDGET", str(budget))
+        assert (self._run(unit) == free).all()
+        # a table grown without a trim keeps the stored rows; a trim drops them
+        assert all(kept or trimmed for kept, trimmed, _ in seen)
+        assert any(trimmed and used > 0 for _, trimmed, used in seen)
+        # the table, the positions and the stored rows keep to the budget,
+        # or hold only the rows of the call that took them over
+        assert all(size <= budget or used == batch for size, used, batch, _ in calls)
+        assert any(used < before for _, used, _, before in calls)  # a fill dropped the stored rows
+
+    def test_zero_mass_row_raises_and_is_not_stored(self, unit):
+        # the pinned end 12 is 11 sites from the start, beyond 4 steps of 2
+        spec = bridge_spec(1, 0, 4, (1,), (1,), x_max=20)
+        heights = np.array([[[1, 2, 3, 4, 12]]])
+        us = np.full((1, 3), 0.5)
+        gs._local_transfer.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^cannot sample from zero mass$"):
+                gs._apply_block_batch(heights, spec, unit, tilt_of(), [(0, 4)], us, [0])
+        rows = next(iter(gs._local_transfer(1, 12, unit, tilt_of()).memo.values()))[2]
+        gs._local_transfer.cache_clear()
+        assert rows.used == 0 and (rows.at == -1).all()
+
+    def test_two_threads_sharing_a_space_draw_as_one(self, unit):
+        import threading
+
+        spec, tilt = self.memo.CASES["gentle"]
+        params = [gs.McmcParams(block_len=6, overlap=3, sweeps=30, burn_in=0, seed=s, chains=8) for s in (4, 5)]
+
+        def heights(samples):
+            return np.stack([p.heights for p in samples])
+
+        alone = []
+        for p in params:
+            gs._local_transfer.cache_clear()
+            alone.append(heights(gs.sample_paths(spec, unit, tilt, p)[0]))
+        gs._local_transfer.cache_clear()
+        start, out = threading.Barrier(2), [None, None]
+
+        def run(i):
+            start.wait()
+            out[i] = heights(gs.sample_paths(spec, unit, tilt, params[i])[0])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        gs._local_transfer.cache_clear()
+        assert all(o is not None and o.tobytes() == a.tobytes() for o, a in zip(out, alone))
 
 
 class TestSamplePaths:
