@@ -159,7 +159,7 @@ def mixing_curve(
     if x_max is None:
         x_max = default_x_max(tilt.potential.lam, max(u[0], w[0]))
     t = t_lattice
-    states = ee.enumerate_states(n, x_max)
+    states = ee.chamber(n, x_max, kernel).states
     if t:
         zeros = np.zeros(states.size)
         window = ee._log_joint(ee.step_matrix(states, kernel, tilt), (-t, t), zeros, zeros)

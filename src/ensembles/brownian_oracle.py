@@ -9,9 +9,9 @@ zero / fixed / free boundary conditions and the stationary (large-time)
 density are the comparison targets for the lattice convergence
 experiments.
 The killed step is the lattice's chamber operator for the stencil
-kernel (``_killed_step``): the n one-curve factors that
-``exact_engine.step_matrix`` builds for any kernel, made once per grid
-and shared by every call on it.  A one-time marginal at step j runs the
+kernel (``_killed_step``): the n one-curve factors of
+``exact_engine.chamber``, built once per (n, sites) and shared by every
+call on the grid.  A one-time marginal at step j runs the
 forward pass for j steps and the backward pass for the remaining
 n_steps - j, in scaled linear space with accumulated log scales (Rabiner
 1989), so it costs one polymer pass and keeps only two state vectors;
@@ -25,7 +25,6 @@ Lehoucq, Sorensen & Yang 1998) on the symmetrized tilted step.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -128,21 +127,17 @@ class PolymerLaw:
 # chamber operator
 
 
-@functools.lru_cache(maxsize=2)
 def _killed_step(n: int, n_sites: int) -> tuple[ee.StateSpace, ee._Chain]:
-    """Chamber states and the killed free step G on them, built once per
-    grid and shared by every call on it.
-
-    G is the lattice chamber operator of the stencil kernel,
-    ``ee.step_matrix(...).forward``: n one-curve factors, with moves that
-    leave the chamber or the cap dropped.  The stencil is symmetric, so G
-    is symmetric and the forward chain P^T is G itself: ``G @ v`` steps
-    in linear space and ``G.log_rows`` in exact log space.  Raises
-    TooLarge when the chamber or the factors exceed the budget."""
+    """Chamber states and the killed free step G on them: the forward
+    factors of the stencil kernel's ``ee.chamber``, with moves that leave
+    the chamber or the cap dropped.  The stencil is symmetric, so G is
+    symmetric and the forward chain P^T is G itself: ``G @ v`` steps in
+    linear space and ``G.log_rows`` in exact log space.  Raises TooLarge
+    when the chamber or the factors exceed the budget."""
     if n_sites < n:
         raise ValueError("height cap too small for n ordered curves")
-    states = ee.enumerate_states(n, n_sites)
-    return states, ee.step_matrix(states, _stencil_kernel()).forward
+    killed = ee.chamber(n, n_sites, _stencil_kernel())
+    return killed.states, killed.forward
 
 
 def _stencil_kernel() -> Kernel:

@@ -5,17 +5,17 @@ Partition values, marginals, restricted joint laws and conditional
 bridge laws run in log space; zero mass is an explicit -inf, never an
 underflowed float.  Exact sampling is forward filtering / backward
 sampling: one batched draw per time step for all samples, each weighing
-the candidates of one row of the step's CSR transpose ``matrix_t`` (at
+the candidates of one row of the chamber's CSR transpose ``matrix_t`` (at
 most |offsets|^n) in log space, with one spawned random stream per
 sample.  The streams are derived in one batch (``_streams``), bit for
 bit equal to numpy's spawned ones.  The messages of a draw run on the
 states up to the window's reach, the highest top curve that a path of
 the window can climb to, when that lies below the cap's near band.
-``TransferStep`` is the one chamber operator.  It holds the step as n
-one-curve sparse factors, which the message passes and the block
-sampler's forward tables apply; the product CSR and its transpose are
-derived from them on first use, for the product laws and the samplers'
-candidates.
+``chamber`` builds the one chamber operator once per (n, cap, kernel)
+and shares it between tilts and clients: the n one-curve sparse factors,
+which the message passes and the block sampler's forward tables apply,
+and, derived from them on first use, the product CSR, its transpose and
+the samplers' candidates.  A ``TransferStep`` is a chamber and a tilt.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -223,11 +223,6 @@ def _log_rows(mat: sp.csr_matrix, rows, log_v: np.ndarray) -> np.ndarray:
     return la.logsumexp(table, axis=-1, overwrite=True)
 
 
-def tilt_log_vector(states: StateSpace, tilt: TiltSpec) -> np.ndarray:
-    """Per-state log tilt factor -a * sum_i b^(i-1) V(x_i), charged per step."""
-    return -(tilt.potential.value(states.arr) @ tilt.curve_weights(states.n))
-
-
 class _Chain(tuple):
     """The product F_{k-1} ⋯ F_0 of its CSR factors F_0, ..., F_{k-1}:
     ``chain @ v`` applies them in turn to v and any trailing batch axes."""
@@ -257,21 +252,15 @@ class _Chain(tuple):
 
 
 @dataclass(frozen=True)
-class TransferStep:
-    """The chamber operator: step probabilities times the source-state tilt.
-
-    The full entry is P[s, s'] * exp(log_tilt[s]); keeping the tilt as a
-    log vector means entries never underflow.  The message steps are
-    ``forward``, P^T = G_{n-1} ⋯ G_0 as the one-curve factors of
-    ``_curve_factors``, and ``backward``, P = G_0^T ⋯ G_{n-1}^T: ``@``
-    in linear space, ``log_rows`` in exact log space.  ``matrix_t`` and
-    ``matrix``, P^T and P as one CSR each, and the padded
-    ``predecessors`` table are derived on first use, for the clients
-    that read single entries."""
+class Chamber:
+    """The tilt-free chamber operator: the states and ``forward``, P^T =
+    G_{n-1} ⋯ G_0 as the one-curve factors of ``_curve_factors``.  Built
+    on first use and kept for every tilt: ``backward``, P = G_0^T ⋯
+    G_{n-1}^T, ``matrix_t`` and ``matrix`` (P^T and P as one CSR each)
+    and the padded ``candidates``."""
 
     states: StateSpace
     forward: _Chain
-    log_tilt: np.ndarray
 
     @cached_property
     def backward(self) -> _Chain:
@@ -295,18 +284,13 @@ class TransferStep:
     def matrix(self) -> sp.csr_matrix:
         return self.matrix_t.T.tocsr()
 
-    def entry(self, s_from: Sequence[int], s_to: Sequence[int]) -> float:
-        i = self.states.ids(s_from)
-        j = self.states.ids(s_to)
-        return float(self.matrix_t[j, i]) * math.exp(self.log_tilt[i])
-
     @cached_property
-    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """(S, K) ids of the states that step to each state, in descending
-        id order, and (S, K) their step probabilities: the rows of
-        ``matrix_t`` padded to the longest, K, with id -1 and probability
-        0.  A backward draw for the state at t + 1 then weighs K
-        candidates instead of all S states."""
+        id order, and (S, K) their log step probabilities: the rows of
+        ``matrix_t`` padded to the longest, K, with id -1 and log
+        probability -inf.  A backward draw for the state at t + 1 then
+        weighs K candidates instead of all S states."""
         mat_t = self.matrix_t
         counts = np.diff(mat_t.indptr)
         row = np.repeat(np.arange(counts.size), counts)
@@ -314,24 +298,52 @@ class TransferStep:
         shape = (counts.size, max(int(counts.max(initial=0)), 1))
         pred = np.full(shape, -1, dtype=np.int64)
         pred[row, pos] = mat_t.indices
-        probs = np.zeros(shape)
-        probs[row, pos] = mat_t.data
-        return pred, probs
+        log_probs = np.full(shape, NEG_INF)
+        log_probs[row, pos] = np.log(mat_t.data)
+        return pred, log_probs
+
+    def tilted(self, tilt: TiltSpec | None) -> TransferStep:
+        """The step with the per-state log tilt -a * sum_i b^(i-1) V(x_i),
+        charged per step; without a tilt, the free walk's."""
+        if tilt is None:
+            return TransferStep(self, np.zeros(self.states.size))
+        return TransferStep(self, -(tilt.potential.value(self.states.arr) @ tilt.curve_weights(self.states.n)))
+
+
+@lru_cache(maxsize=4)
+def chamber(n: int, x_max: int, kernel: Kernel) -> Chamber:
+    """The chamber of n curves on {1..x_max} for ``kernel``, shared while
+    cached.  The smallest product move, min(probs)^n, is checked as a sum
+    of logs first: a product below the smallest normal double would be
+    dropped as 0.0 or lose its digits, so it raises instead."""
+    log_min = n * math.log(min(kernel.probs))
+    if log_min < math.log(np.finfo(float).tiny):
+        raise ValueError(
+            f"the rarest product move of n={n} curves has probability "
+            f"10^{log_min / math.log(10):.1f}, below the smallest normal double"
+        )
+    states = enumerate_states(n, x_max)
+    return Chamber(states=states, forward=_Chain(_curve_factors(states, kernel)))
+
+
+@dataclass(frozen=True)
+class TransferStep:
+    """The chamber operator times the source-state tilt: the entry is
+    P[s, s'] * exp(log_tilt[s]), with the tilt kept as a log vector so
+    that entries never underflow."""
+
+    chamber: Chamber
+    log_tilt: np.ndarray
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The chamber's P, for readers of a step's nonzeros such as ``bench/probes.py``."""
+        return self.chamber.matrix
 
 
 def step_matrix(states: StateSpace, kernel: Kernel, tilt: TiltSpec | None = None) -> TransferStep:
-    """Build the tilted one-step transfer operator; without a tilt, the
-    free walk's.  The smallest product move, min(probs)^n, is checked as
-    a sum of logs first: a product below the smallest normal double
-    would be dropped as 0.0 or lose its digits, so it raises instead."""
-    log_min = states.n * math.log(min(kernel.probs))
-    if log_min < math.log(np.finfo(float).tiny):
-        raise ValueError(
-            f"the rarest product move of n={states.n} curves has probability "
-            f"10^{log_min / math.log(10):.1f}, below the smallest normal double"
-        )
-    log_tilt = np.zeros(states.size) if tilt is None else tilt_log_vector(states, tilt)
-    return TransferStep(states=states, forward=_Chain(_curve_factors(states, kernel)), log_tilt=log_tilt)
+    """The tilted step on the chamber of ``states``; without a tilt, the free walk's."""
+    return chamber(states.n, states.x_max, kernel).tilted(tilt)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +418,14 @@ def _bridge_parity_check(spec: EnsembleSpec, kernel: Kernel) -> None:
 def _compute_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec | None = None) -> TransferResult:
     """Log messages on the chamber of ``spec``, with the tilted step; without
     a tilt, the free walk's.  The two (width, S) message arrays are held to
-    the budget before the step is built."""
-    states = enumerate_states(spec.n, spec.x_max)
+    the budget before the chamber is built."""
     w = spec.width
-    s = states.size
+    s = math.comb(spec.x_max, spec.n)
     if 2 * w * s > state_budget():
         raise TooLarge(f"two {w} x {s} message arrays exceed budget {state_budget():g}")
-    step = step_matrix(states, kernel, tilt)
-    fwd, bwd, log_tilt = step.forward, step.backward, step.log_tilt
+    step = chamber(spec.n, spec.x_max, kernel).tilted(tilt)
+    states, log_tilt = step.chamber.states, step.log_tilt
+    fwd, bwd = step.chamber.forward, step.chamber.backward
     start = states.ids(spec.boundary.u)
     # la.log_mat_vec shifts its input by one maximum, so a row whose terms all
     # lie far below it comes out subnormal or -inf while its true value is
@@ -595,12 +607,12 @@ def _log_joint(
     the step's nonzeros scatter into a new one; any other column is
     summed out over the transpose's rows.  Its largest array is the S^k
     law, or the (..., S, K) table of a summed-out column."""
-    s = step.states.size
+    s = step.chamber.states.size
     if s ** len(times) > state_budget():
         raise TooLarge(f"product law with {s}^{len(times)} entries exceeds budget {state_budget():g}")
     lo, hi = (times[0], times[-1]) if span is None else span
     first, last = (times[0], times[-1]) if len(times) else (hi, hi)
-    mat, mat_t, log_tilt = step.matrix, step.matrix_t, step.log_tilt
+    mat, mat_t, log_tilt = step.chamber.matrix, step.chamber.matrix_t, step.log_tilt
     joint = left
     for _ in range(lo, first):
         joint = _log_rows(mat_t, slice(None), joint + log_tilt)
@@ -776,7 +788,7 @@ def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     spec, states, step = res.spec, res.states, res.step
     if not np.isfinite(res.log_z):
         raise ValueError("ensemble has zero total mass; nothing to sample")
-    mat_t, log_tilt, forward = step.matrix_t, step.log_tilt, res.forward
+    mat_t, log_tilt, forward = step.chamber.matrix_t, step.log_tilt, res.forward
 
     def weigh(t, nxt):
         pos, real = column_candidates(mat_t, nxt)

@@ -10,16 +10,16 @@ colour share at most a pinned endpoint, so all of a colour's blocks of
 one length and end kind are redrawn for all chains in one batched call
 (chromatic Gibbs), block i reading the same slice of its chain's row as
 in a left-to-right scan.  A batched redraw reads the exact log forward
-rows of each block's start from a memo on the cached local space, a
-space sized by the reach of the batch's blocks; the rows of starts not
-met before are built in one batched pass on the chamber operator's
-one-curve factors.  One backward draw by ``ee.ffbs`` follows: each row
-weighs at most |offsets|^n predecessor candidates, read from the step's
-cached (S, K) padded table, in log space against its start's rows.  The
-cumulative weights of each (start, time, state) row are stored beside
-the memo table on the row's first visit and read back on every later
-one, so a chain that comes back to a row does not weigh it again.  The
-starting configurations are one exact draw (``ee.sample_heights``,
+rows of each block's start from a memo on the cached local space, the
+tilted step on the shared chamber of a cap sized by the reach of the
+batch's blocks; rows of starts not met before are built in one batched
+pass on its one-curve factors.  One backward draw by ``ee.ffbs``
+follows: each row weighs at most |offsets|^n predecessor candidates,
+from the chamber's padded table, in log space against its start's rows.
+The cumulative weights of each (start, time, state) row are stored
+beside the memo table on the row's first visit and read back on every
+later one, so a chain that comes back to a row does not weigh it again.
+The starting configurations are one exact draw (``ee.sample_heights``,
 weighed in log space) from the untilted ensemble.  Kept samples are
 stored in one array and validated once per run.
 """
@@ -30,7 +30,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -117,14 +117,6 @@ class _LocalSpace:
         self.max_step = max_step
         self.memo: dict[int, tuple[np.ndarray, np.ndarray, _CandidateRows]] = {}
 
-    @cached_property
-    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
-        """The step's (S, K) predecessor ids and their log step
-        probabilities, -inf for padding."""
-        pred, probs = self.step.predecessors
-        with np.errstate(divide="ignore"):
-            return pred, np.log(probs)
-
     def forward_rows(self, m: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _CandidateRows]:
         """The slots of ``starts``, the (slots, m + 1, S) table of length m
         and its candidate rows, after one batched ``_forward_log_rows``
@@ -134,7 +126,7 @@ class _LocalSpace:
         starts and the stored rows are dropped, since the slots are
         renumbered.  The three are replaced together, so a reader never
         pairs one with another's predecessor."""
-        size = self.step.states.size
+        size = self.step.chamber.states.size
         empty = (np.full(size, -1), np.empty((0, m + 1, size)), None)
         slots, table, rows = self.memo.get(m, empty)
         new = np.unique(starts[slots[starts] < 0])
@@ -151,7 +143,7 @@ class _LocalSpace:
                 slots = slots.copy()
             slots[new] = len(table) + np.arange(new.size)
             table = np.concatenate([table, fresh])
-            rows = _CandidateRows(table, *self.candidates, rows)
+            rows = _CandidateRows(table, *self.step.chamber.candidates, rows)
             self.memo[m] = (slots, table, rows)
         return slots[starts], table, rows
 
@@ -214,8 +206,8 @@ class _CandidateRows:
 
 @lru_cache(maxsize=32)
 def _local_transfer(n: int, x_loc: int, kernel: Kernel, tilt: TiltSpec) -> _LocalSpace:
-    """The chamber operator on {1..x_loc}, with an empty memo."""
-    return _LocalSpace(ee.step_matrix(ee.enumerate_states(n, x_loc), kernel, tilt), kernel.max_step)
+    """The tilted step on the shared chamber of {1..x_loc}, with an empty memo."""
+    return _LocalSpace(ee.chamber(n, x_loc, kernel).tilted(tilt), kernel.max_step)
 
 
 def _forward_log_rows(step: ee.TransferStep, max_step: int, starts: np.ndarray, m: int) -> np.ndarray:
@@ -229,7 +221,7 @@ def _forward_log_rows(step: ee.TransferStep, max_step: int, starts: np.ndarray, 
     terms to that shift, so it is redone in exact log space; a redo is
     written only where its own start lost the entry, so a start's rows do
     not depend on the other starts of the batch."""
-    states, fwd, log_tilt = step.states, step.forward, step.log_tilt
+    states, fwd, log_tilt = step.chamber.states, step.chamber.forward, step.log_tilt
     u = starts.size
     rows = np.full((u, m + 1, states.size), NEG_INF)
     rows[np.arange(u), 0, starts] = log_tilt[starts]
@@ -365,10 +357,10 @@ def _apply_block_batch(
     end_top = None if free else int(win[:, 0, m].max())
     x_loc = _local_cutoff(spec, kernel, m, int(win[:, 0, 0].max()), end_top)
     local = _local_transfer(spec.n, x_loc, kernel, tilt)
-    states = local.step.states
+    states = local.step.chamber.states
     start = states.ids(win[:, :, 0])
     slot, table, rows = local.forward_rows(m, start)
-    pred, size = local.candidates[0], states.size
+    pred, size = local.step.chamber.candidates[0], states.size
     base = slot * ((m + 1) * size)  # where each row's table starts, flat
 
     def weigh(t, nxt):

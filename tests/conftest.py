@@ -9,11 +9,30 @@ transfer-operator code paths it is used to check.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from ensembles import model_core as mc
+
+
+def clear_library_caches() -> None:
+    """Empty every ``functools`` cache in the ``ensembles`` modules, so the
+    next call builds its chambers, steps and memos afresh."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ensembles") and mod is not None:
+            for obj in list(vars(mod).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_library_caches():
+    """Every test starts from cold caches: a chamber cached under one
+    ENSEMBLES_BUDGET must not hide the TooLarge a later test expects
+    under a lower one."""
+    clear_library_caches()
 
 
 @pytest.fixture

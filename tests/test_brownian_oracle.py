@@ -66,19 +66,19 @@ class TestKilledStep:
         assert indexed == []
 
     def test_one_grid_enumerates_its_chamber_once(self, monkeypatch):
-        bo._killed_step.cache_clear()
-        calls = []
-        real = ee.enumerate_states
+        calls, built = [], []
+        real, build = ee.enumerate_states, ee._curve_factors
         monkeypatch.setattr(ee, "enumerate_states", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(ee, "_curve_factors", lambda states, kernel: built.append(states.size) or build(states, kernel))
         grid = bo.GridSpec(dx=0.25, height_cap=5.0, m_half=0.25)
         bo.stationary_density(2, 1.0, 2.0, grid)
         bo.zero_bc_extrapolate(2, 1.0, 2.0, grid)
         assert calls == [(2, 20)]
+        assert built == [190]
 
     def test_factors_over_budget_raise_before_any_matvec(self, monkeypatch):
         # C(40, 2) = 780 states fit a budget of 1000; 13 taps x (stage-1 + 780) rows do not
         monkeypatch.setenv("ENSEMBLES_BUDGET", "1000")
-        bo._killed_step.cache_clear()
         applied = []
         monkeypatch.setattr(ee._Chain, "__matmul__", lambda chain, v: applied.append(v))
         grid = bo.GridSpec(dx=0.25, height_cap=10.0, m_half=0.25)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ensembles
+from conftest import clear_library_caches
 from ensembles import analysis as an
 from ensembles import brownian_oracle as bo
 from ensembles import cli_io as cio
@@ -241,9 +242,11 @@ class TestRun:
         assert env["pass"] is None
 
     def test_determinism_across_runs_and_threads(self, tmp_path):
+        # each run starts cold, so the threads race on building the shared chamber
         cfg = cio.parse_config(MIXING_CFG)
         outs = []
         for name, threads in (("a", 1), ("b", 1), ("c", 8)):
+            clear_library_caches()
             cio.run(cfg, tmp_path / name, threads=threads)
             blob = b""
             for f in sorted((tmp_path / name).glob("*.csv")):
@@ -281,11 +284,12 @@ class TestRun:
 
     @pytest.mark.parametrize("text", [DOMINANCE_CFG, INVARIANCE_CFG], ids=["dominance", "invariance"])
     def test_oracle_experiments_identical_across_threads(self, tmp_path, text):
-        # the chamber of each grid is shared between calls, and between threads
+        # the chamber of each grid is shared between calls, and between threads;
+        # each run starts cold, so the threads race on building it
         cfg = cio.parse_config(text)
         outs = []
         for name, threads in (("a", 1), ("b", 2)):
-            bo._killed_step.cache_clear()
+            clear_library_caches()
             cio.run(cfg, tmp_path / name, threads=threads)
             blob = b""
             for f in sorted((tmp_path / name).glob("*.csv")):
@@ -396,6 +400,32 @@ slope.eta = 2.0
         cfg = cio.parse_config(cfg_text)
         env = cio.run(cfg, tmp_path / "out")
         assert env["pass"] is False
+
+
+class TestChamberBuiltOnce:
+    """A run builds the chamber of each (n, cap, kernel) once and shares it
+    between tilts, boundaries, modes and clients."""
+
+    @staticmethod
+    def built(monkeypatch) -> list:
+        out, build = [], ee._curve_factors
+        monkeypatch.setattr(ee, "_curve_factors", lambda s, k: out.append((s.n, s.x_max)) or build(s, k))
+        return out
+
+    def test_mixing_builds_one_chamber(self, tmp_path, monkeypatch):
+        # the bench's mixing-n2-S120 op: the window law, then 2 modes x 6 points x 2 ensembles
+        built = self.built(monkeypatch)
+        text = SWEEP_MIXING_CFG.replace("mixing.t_lattice = 2", "mixing.t_lattice = 1")
+        text = text.replace("mixing.k_list = 1,2,3,4", "mixing.k_list = 1,2,3,4,5,6")
+        cio.run(cio.parse_config(text.replace("mixing.window_delta = 1\n", "")), tmp_path)
+        assert built == [(2, 16)]
+
+    def test_dominance_walk_side_builds_two_chambers(self, tmp_path, monkeypatch):
+        # the bench's dominance-n2 op: five polymer marginals on one grid, four lattice marginals on one cap
+        built = self.built(monkeypatch)
+        text = DOMINANCE_CFG.replace("oracle.dx = 0.25", "oracle.dx = 0.2")
+        cio.run(cio.parse_config(text + "model.lambda = 0.4\ndominance.walk_side = true\n"), tmp_path)
+        assert len(built) == len(set(built)) == 2
 
 
 class TestMainEntry:

@@ -108,13 +108,7 @@ class TestLookups:
         made = []
         real = ee.enumerate_states
         monkeypatch.setattr(ee, "enumerate_states", lambda *a, **kw: made.append(real(*a, **kw)) or made[-1])
-        gs._local_transfer.cache_clear()
-        bo._killed_step.cache_clear()
-        try:
-            LIBRARY_LOOKUPS[name](lazy)
-        finally:
-            gs._local_transfer.cache_clear()
-            bo._killed_step.cache_clear()
+        LIBRARY_LOOKUPS[name](lazy)
         assert made
         assert all("index" not in states.__dict__ for states in made)
 
@@ -130,12 +124,14 @@ class TestStepMatrix:
     def test_single_entry_value(self, srw):
         states = ee.enumerate_states(1, 6)
         step = ee.step_matrix(states, srw, tilt_of())
-        assert step.entry((1,), (2,)) == pytest.approx(0.5 * math.exp(-1.0))
+        i, j = states.ids((1,)), states.ids((2,))
+        assert step.chamber.matrix_t[j, i] * math.exp(step.log_tilt[i]) == pytest.approx(0.5 * math.exp(-1.0))
 
     def test_no_zero_step_for_srw(self, srw):
         states = ee.enumerate_states(1, 6)
         step = ee.step_matrix(states, srw, tilt_of())
-        assert step.entry((1,), (1,)) == 0.0
+        i = states.ids((1,))
+        assert step.chamber.matrix_t[i, i] * math.exp(step.log_tilt[i]) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kernel", ["srw", "lazy", "unit", "unsorted"])
@@ -149,11 +145,11 @@ class TestStepMatrix:
         # table (block sampler), are the nonzeros of column j of the step
         states = ee.enumerate_states(n, 7)
         step = ee.step_matrix(states, kern, tilt_of())
-        mat_t = step.matrix_t
-        pred, probs = step.predecessors
+        mat_t = step.chamber.matrix_t
+        pred, log_probs = step.chamber.candidates
         cols = step.matrix.tocsc()
         counts = np.diff(cols.indptr)
-        assert pred.shape == probs.shape == (states.size, counts.max())
+        assert pred.shape == log_probs.shape == (states.size, counts.max())
         rng = np.random.default_rng(n)
         for nxt in (np.arange(states.size), rng.permutation(states.size)[:5]):
             pos, real = ee.column_candidates(mat_t, nxt)
@@ -167,8 +163,8 @@ class TestStepMatrix:
                 assert mat_t.indices[pos[r, :k]].tolist() == src[order].tolist()
                 assert mat_t.data[pos[r, :k]].tolist() == p
                 assert pred[j, :k].tolist() == src[order].tolist()
-                assert probs[j, :k].tolist() == p
-                assert (pred[j, k:] == -1).all() and (probs[j, k:] == 0.0).all()
+                assert log_probs[j, :k].tolist() == np.log(p).tolist()  # bit for bit
+                assert (pred[j, k:] == -1).all() and (log_probs[j, k:] == -np.inf).all()
 
     @pytest.mark.parametrize(
         "kernel,n",
@@ -193,7 +189,7 @@ class TestStepMatrix:
                 tgt = tuple(x + kern.offsets[c] for x, c in zip(state, combo))
                 if tgt in states.index:
                     expected[states.index[tgt], i] = math.prod(kern.probs[c] for c in combo)
-        mat_t = ee.step_matrix(states, kern).matrix_t
+        mat_t = ee.step_matrix(states, kern).chamber.matrix_t
         assert mat_t.has_sorted_indices and mat_t.nnz == len(expected)
         rows = np.repeat(np.arange(states.size), np.diff(mat_t.indptr))
         got = dict(zip(zip(rows.tolist(), mat_t.indices.tolist()), mat_t.data.tolist()))
@@ -230,8 +226,8 @@ class TestStepMatrix:
         gs._local_transfer.cache_clear()
         gs._local_transfer(2, 9, unit, tilt_of())
         assert len(calls) == 2
-        gs._init_heights(spec, unit, [np.random.default_rng(0)])
-        assert len(calls) == 3
+        gs._init_heights(spec, unit, [np.random.default_rng(0)])  # exact_sample's chamber, x_max = 8
+        assert len(calls) == 2
 
     def test_rarest_product_move_raises_instead_of_vanishing(self):
         # a product of two 1e-200 moves is 1e-400, below the smallest double
@@ -355,7 +351,7 @@ class TestLaws:
         # t = 1 needs a 28 x 28 x 22 table, below the 28^3 a power would take
         spec = bridge_spec(2, 0, 4, (3, 1), (3, 1), x_max=8)
         states = ee.enumerate_states(2, 8)
-        mat_t = ee.step_matrix(states, unit).matrix_t
+        mat_t = ee.step_matrix(states, unit).chamber.matrix_t
         s, k = states.size, int(np.diff(mat_t.indptr).max())
         assert s**2 * k < s**3
         monkeypatch.setenv("ENSEMBLES_BUDGET", str((s**2 * k + s**3) // 2))
@@ -372,7 +368,7 @@ class TestLaws:
         spec = bridge_spec(2, 0, 4, (3, 1), (3, 1), x_max=8)
         res = ee.ensemble_messages(spec, unit, tilt_of())
         s = res.states.size
-        table = s * s * int(np.diff(res.step.matrix_t.indptr).max())
+        table = s * s * int(np.diff(res.step.chamber.matrix_t.indptr).max())
         monkeypatch.setenv("ENSEMBLES_BUDGET", str(table - 1))  # the 28^2 law itself fits
         ee.law_from_messages(res, [0, 1])
         tracemalloc.start()
@@ -609,11 +605,11 @@ class TestFactoredStep:
 
         monkeypatch.setattr(ee._Chain, "log_rows", recorded)
         res = ee.ensemble_messages(spec, kernel, tilt)
-        assert "matrix_t" not in res.step.__dict__ and "matrix" not in res.step.__dict__
-        assert {chain is res.step.forward for chain, *_ in calls} == {True, False}  # both passes redo rows
+        assert "matrix_t" not in res.step.chamber.__dict__ and "matrix" not in res.step.chamber.__dict__
+        assert {chain is res.step.chamber.forward for chain, *_ in calls} == {True, False}  # both passes redo rows
         fresh = ee.step_matrix(res.states, kernel, tilt)
         for chain, rows, log_v, out in calls:
-            mat = fresh.matrix_t if chain is res.step.forward else fresh.matrix
+            mat = fresh.chamber.matrix_t if chain is res.step.chamber.forward else fresh.chamber.matrix
             np.testing.assert_allclose(out, ee._log_rows(mat, rows, log_v), rtol=1e-12, atol=0)
 
     def test_three_curves_at_default_cutoff_fail_before_messages(self, unit, monkeypatch):
@@ -624,9 +620,9 @@ class TestFactoredStep:
         assert spec.x_max == 158
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("the step was built before the budget check")
+            raise AssertionError("the chamber was built before the budget check")
 
-        monkeypatch.setattr(ee, "step_matrix", unreachable)
+        monkeypatch.setattr(ee, "chamber", unreachable)
         tracemalloc.start()
         try:
             with pytest.raises(ee.TooLarge, match="two 81 x 644956 message arrays"):

@@ -511,7 +511,6 @@ class TestForwardMemo:
         real, apply = gs._forward_log_rows, gs._apply_block_batch
         monkeypatch.setattr(gs, "_forward_log_rows", lambda step, *a: built.append((step, a)) or real(step, *a))
         monkeypatch.setattr(gs, "_apply_block_batch", lambda *a: calls.append(a) or apply(*a))
-        gs._local_transfer.cache_clear()
         heights, us = self._start(spec, unit, 12)
         self._sweeps(spec, heights, us, tilt, unit)
         keys = [(id(step), m, int(s)) for step, (_, starts, m) in built for s in starts]
@@ -543,7 +542,6 @@ class TestForwardMemo:
 
         monkeypatch.setattr(gs._LocalSpace, "forward_rows", recorded)
         monkeypatch.setattr(gs, "_forward_log_rows", lambda step, *a: built.append((step, a)) or build(step, *a))
-        gs._local_transfer.cache_clear()
         free = self._sweeps(spec, heights.copy(), us, tilt, unit)
         budget = max(size for *_, size in seen) // 2
         monkeypatch.setenv("ENSEMBLES_BUDGET", str(budget))
@@ -672,7 +670,6 @@ class TestCandidateRows:
         spec = bridge_spec(1, 0, 4, (1,), (1,), x_max=20)
         heights = np.array([[[1, 2, 3, 4, 12]]])
         us = np.full((1, 3), 0.5)
-        gs._local_transfer.cache_clear()
         for _ in range(2):
             with pytest.raises(ValueError, match="^cannot sample from zero mass$"):
                 gs._apply_block_batch(heights, spec, unit, tilt_of(), [(0, 4)], us, [0])
