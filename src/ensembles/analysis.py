@@ -226,7 +226,9 @@ def invariance_check(
     which converge to u and m_cont).  Kernel variance sigma^2 != 1 is
     corrected by scaling space by sigma (equivalently, the oracle runs at
     tilt a*sigma in y = x/sigma coordinates).  The lambda points are
-    mapped over ``threads``."""
+    mapped over ``threads``; their oracles step on one chamber, as the
+    number of sites is the same for every lambda, so it is built first
+    and the threads share it."""
     if boundary not in ("walk", "bridge"):
         raise ValueError("boundary must be 'walk' or 'bridge'")
     if len(u_cont) != n:
@@ -235,6 +237,7 @@ def invariance_check(
     a_eff = a * sigma
     if height_cap is None:
         height_cap = bo.default_height_cap(a_eff, n) + max(u_cont) / sigma
+    bo._killed_step(n, bo.GridSpec(dx=dx, height_cap=height_cap, m_half=m_cont).n_sites)
 
     def point(lam):
         pot = linear_potential(lam)

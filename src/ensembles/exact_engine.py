@@ -404,7 +404,7 @@ class TransferResult:
 
 
 def _bridge_parity_check(spec: EnsembleSpec, kernel: Kernel) -> None:
-    if kernel.period == 1:
+    if kernel.period == 1 or not isinstance(spec.boundary, Bridge):
         return
     steps = spec.n_right - spec.m_left
     z0 = kernel.offsets[0]
@@ -417,8 +417,10 @@ def _bridge_parity_check(spec: EnsembleSpec, kernel: Kernel) -> None:
 
 def _compute_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec | None = None) -> TransferResult:
     """Log messages on the chamber of ``spec``, with the tilted step; without
-    a tilt, the free walk's.  The two (width, S) message arrays are held to
-    the budget before the chamber is built."""
+    a tilt, the free walk's.  Raises ParityInfeasible for a bridge that the
+    kernel's period cannot close, then holds the two (width, S) message
+    arrays to the budget before the chamber is built."""
+    _bridge_parity_check(spec, kernel)
     w = spec.width
     s = math.comb(spec.x_max, spec.n)
     if 2 * w * s > state_budget():
@@ -509,8 +511,6 @@ def ensemble_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec) -> Tra
     Raises ParityInfeasible for periodicity-infeasible bridges and emits
     CutoffDominatedWarning when mass accumulates near the height cutoff.
     """
-    if isinstance(spec.boundary, Bridge):
-        _bridge_parity_check(spec, kernel)
     res = _compute_messages(spec, kernel, tilt)
     if res.cutoff_warning:
         warnings.warn(
@@ -848,8 +848,6 @@ def exact_sample(
     us = spawned_uniforms(seed, count, sample_draws(spec))  # a bad count raises before any work
     cap = _reach(spec, kernel)
     if cap < spec.x_max - CUTOFF_NEAR:
-        if isinstance(spec.boundary, Bridge):
-            _bridge_parity_check(spec, kernel)
         res = _compute_messages(replace(spec, x_max=cap), kernel, tilt)
     else:
         res = ensemble_messages(spec, kernel, tilt)

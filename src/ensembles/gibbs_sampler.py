@@ -10,7 +10,7 @@ colour share at most a pinned endpoint, so all of a colour's blocks of
 one length and end kind are redrawn for all chains in one batched call
 (chromatic Gibbs), block i reading the same slice of its chain's row as
 in a left-to-right scan.  A batched redraw reads the exact log forward
-rows of each block's start from a memo on the cached local space, the
+rows of each block's start from its run's memo on the local space, the
 tilted step on the shared chamber of a cap sized by the reach of the
 batch's blocks; rows of starts not met before are built in one batched
 pass on its one-curve factors.  One backward draw by ``ee.ffbs``
@@ -19,18 +19,18 @@ from the chamber's padded table, in log space against its start's rows.
 The cumulative weights of each (start, time, state) row are stored
 beside the memo table on the row's first visit and read back on every
 later one, so a chain that comes back to a row does not weigh it again.
-The starting configurations are one exact draw (``ee.sample_heights``,
-weighed in log space) from the untilted ensemble.  Kept samples are
-stored in one array and validated once per run.
+Each sampling run owns its local spaces and their memos, which count
+against the budget together.  The starting configurations are one exact
+draw (``ee.sample_heights``, weighed in log space) from the untilted
+ensemble.  Kept samples are stored in one array and validated once per
+run.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -100,80 +100,68 @@ class ChainDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# cached local transfer structures
+# one run's local transfer structures
 
 
 class _LocalSpace:
-    """The chamber operator on a block's local space and its memo of exact
-    log forward tables, one per block length m.  ``memo[m]`` is (slots,
-    table, rows): the (m + 1, S) rows of start state s are
-    ``table[slots[s]]``, slot -1 marks a start not met yet, and ``rows``
-    holds the cumulative candidate rows drawn so far from the table
-    (``_CandidateRows``).  A start's rows depend on the start alone, so
-    every chain and block that starts there reads them."""
+    """The tilted step on the shared chamber of one local cap, and its
+    memos, one ``_BlockMemo`` per block length m.  A sampling run keeps
+    its local spaces in one dict keyed by local cap (n, kernel and tilt
+    are fixed within a run) and passes it to every block redraw; the
+    memos of all its spaces and lengths count against the budget together."""
 
     def __init__(self, step: ee.TransferStep, max_step: int):
         self.step = step
         self.max_step = max_step
-        self.memo: dict[int, tuple[np.ndarray, np.ndarray, _CandidateRows]] = {}
+        self.memo: dict[int, _BlockMemo] = {}
 
-    def forward_rows(self, m: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _CandidateRows]:
-        """The slots of ``starts``, the (slots, m + 1, S) table of length m
-        and its candidate rows, after one batched ``_forward_log_rows``
-        over the starts not met yet.  The table, the rows' positions and
-        the stored rows are held to the budget together: when the new
-        starts would take them over, the table keeps only this call's
-        starts and the stored rows are dropped, since the slots are
-        renumbered.  The three are replaced together, so a reader never
-        pairs one with another's predecessor."""
-        size = self.step.chamber.states.size
-        empty = (np.full(size, -1), np.empty((0, m + 1, size)), None)
-        slots, table, rows = self.memo.get(m, empty)
-        new = np.unique(starts[slots[starts] < 0])
+    def forward_rows(
+        self, m: int, starts: np.ndarray, spaces: dict[int, _LocalSpace]
+    ) -> tuple[np.ndarray, _BlockMemo]:
+        """The slots of ``starts`` in the memo of length m, after one
+        batched ``_forward_log_rows`` over the starts not met yet, appended
+        to its table.  If they would take the memos of the run in
+        ``spaces`` over the budget, all of them are emptied first and the
+        table is built from this call's starts alone."""
+        if m not in self.memo:
+            self.memo[m] = _BlockMemo(self.step.chamber, m)
+        memo = self.memo[m]
+        new = np.unique(starts[memo.slots[starts] < 0])
         if new.size:
-            fresh = _forward_log_rows(self.step, self.max_step, new, m)
-            stored = rows.store[: rows.used].size if rows else 0
-            if 2 * (len(table) + new.size) * (m + 1) * size + stored > ee.state_budget():
-                keep = np.unique(starts[slots[starts] >= 0])
-                table = table[slots[keep]]
-                slots = np.full(size, -1)
-                slots[keep] = np.arange(keep.size)
-                rows = None
-            else:
-                slots = slots.copy()
-            slots[new] = len(table) + np.arange(new.size)
-            table = np.concatenate([table, fresh])
-            rows = _CandidateRows(table, *self.step.chamber.candidates, rows)
-            self.memo[m] = (slots, table, rows)
-        return slots[starts], table, rows
+            if _held(spaces) + 2 * new.size * (m + 1) * memo.slots.size > ee.state_budget():
+                for local in spaces.values():
+                    local.memo.clear()
+                memo = self.memo[m] = _BlockMemo(self.step.chamber, m)
+                new = np.unique(starts)
+            memo.slots[new] = len(memo.table) + np.arange(new.size)
+            memo.table = np.concatenate([memo.table, _forward_log_rows(self.step, self.max_step, new, m)])
+            memo.at = np.concatenate([memo.at, np.full(memo.table.size - memo.at.size, -1)])
+        return memo.slots[starts], memo
 
 
-class _CandidateRows:
-    """The cumulative candidate rows of one block-memo table, stored as
-    block redraws first visit them.  The draw at time t from the state
-    ``nxt`` at t + 1, for the start in ``slot``, weighs the row keyed by
-    its place in the flat table, slot·(m + 1)·S + t·S + nxt: ``at[key]``
-    is that row's place in ``store``, -1 before its first visit.  A row is
-    built on that visit by ``ee.cumulative_weights`` from the log weights
-    a draw weighs, so every reuse is bit for bit a fresh draw's row.
+class _BlockMemo:
+    """The exact log forward tables of block length m on one local space,
+    and the cumulative candidate rows drawn from them.  The (m + 1, S) rows
+    of start state s are ``table[slots[s]]``, slot -1 marking a start not
+    met yet.  The draw at time t from the state ``nxt`` at t + 1, for the
+    start in ``slot``, weighs the row keyed by its place in the flat table,
+    slot·(m + 1)·S + t·S + nxt: ``at[key]`` is that row's place in
+    ``store``, -1 before its first visit.  A row is built on that visit by
+    ``ee.cumulative_weights`` from the log weights a draw weighs, so every
+    reuse is bit for bit a fresh draw's row.  A start's rows depend on the
+    start alone, so every chain and block that starts there reads them."""
 
-    Built with the rows of ``old``, a table's predecessor whose slots keep
-    their numbers, it starts with their rows.  The table, the positions and
-    the stored rows are held to the budget together: a fill that would
-    take them over drops the stored rows first.  One lock guards each
-    lookup and fill."""
+    def __init__(self, chamber: ee.Chamber, m: int):
+        self.pred, self.log_probs = chamber.candidates
+        self.slots = np.full(chamber.states.size, -1)
+        self.table = np.empty((0, m + 1, chamber.states.size))
+        self.at = np.empty(0, dtype=np.int64)
+        self.drop_rows()
 
-    def __init__(self, table: np.ndarray, pred: np.ndarray, log_probs: np.ndarray, old: _CandidateRows | None):
-        self.table, self.pred, self.log_probs = table, pred, log_probs
-        self.at = np.full(table.size, -1)
-        self.store = np.empty((0, pred.shape[1]))
+    def drop_rows(self) -> None:
+        self.at.fill(-1)
+        self.store = np.empty((0, self.pred.shape[1]))
         self.used = 0
-        self.lock = threading.Lock()
-        if old is not None:
-            with old.lock:
-                self.at[: old.at.size] = old.at
-                self.store = old.store[: old.used].copy()
-                self.used = old.used
 
     def build(self, keys: np.ndarray) -> np.ndarray:
         """The cumulative rows of the distinct ``keys``."""
@@ -181,33 +169,37 @@ class _CandidateRows:
         log_w = self.table.reshape(-1)[(keys - nxt)[:, None] + self.pred[nxt]] + self.log_probs[nxt]
         return ee.cumulative_weights(log_w)
 
-    def take(self, keys: np.ndarray) -> np.ndarray:
+    def take(self, keys: np.ndarray, spaces: dict[int, _LocalSpace]) -> np.ndarray:
         """The (R, K) cumulative rows at ``keys``, each built on its first
-        visit."""
-        with self.lock:
+        visit.  A fill that would take the memos of the run in ``spaces``
+        over the budget drops all their stored rows first."""
+        at = self.at[keys]
+        if (at < 0).any():
+            new = np.unique(keys[at < 0])
+            if self.used + new.size > len(self.store):
+                k = self.pred.shape[1]
+                limit = int(ee.state_budget() - _held(spaces) + self.store.size) // k  # rows the budget leaves
+                if self.used + new.size > limit:  # drop the run's stored rows
+                    for local in spaces.values():
+                        for memo in local.memo.values():
+                            memo.drop_rows()
+                    new = np.unique(keys)
+                    limit = int(ee.state_budget() - _held(spaces)) // k
+                grown = np.empty((max(self.used + new.size, min(2 * len(self.store), limit)), k))
+                grown[: self.used] = self.store[: self.used]
+                self.store = grown
+            self.store[self.used : self.used + new.size] = self.build(new)
+            self.at[new] = self.used + np.arange(new.size)
+            self.used += new.size
             at = self.at[keys]
-            if (at < 0).any():
-                new = np.unique(keys[at < 0])
-                if self.used + new.size > len(self.store):
-                    k = self.store.shape[1]
-                    limit = int(ee.state_budget() - 2 * self.at.size) // k  # rows the budget leaves
-                    if self.used + new.size > limit:  # drop the stored rows
-                        self.at.fill(-1)
-                        self.used, new = 0, np.unique(keys)
-                    grown = np.empty((max(self.used + new.size, min(2 * len(self.store), limit)), k))
-                    grown[: self.used] = self.store[: self.used]
-                    self.store = grown
-                self.store[self.used : self.used + new.size] = self.build(new)
-                self.at[new] = self.used + np.arange(new.size)
-                self.used += new.size
-                at = self.at[keys]
-            return self.store[at]
+        return self.store[at]
 
 
-@lru_cache(maxsize=32)
-def _local_transfer(n: int, x_loc: int, kernel: Kernel, tilt: TiltSpec) -> _LocalSpace:
-    """The tilted step on the shared chamber of {1..x_loc}, with an empty memo."""
-    return _LocalSpace(ee.chamber(n, x_loc, kernel).tilted(tilt), kernel.max_step)
+def _held(spaces: dict[int, _LocalSpace]) -> int:
+    """The entries that the memos of one run hold against the budget: the
+    tables, the rows' positions and the stored rows."""
+    memos = [memo for local in spaces.values() for memo in local.memo.values()]
+    return sum(memo.table.size + memo.at.size + memo.store.size for memo in memos)
 
 
 def _forward_log_rows(step: ee.TransferStep, max_step: int, starts: np.ndarray, m: int) -> np.ndarray:
@@ -337,6 +329,7 @@ def _apply_block_batch(
     blocks: Sequence[tuple[int, int | None]],
     us: np.ndarray,
     offs: Sequence[int],
+    spaces: dict[int, _LocalSpace],
 ) -> None:
     """Exact conditional redraw of blocks of one length and end kind for
     every chain, on one batch axis of chains × blocks (chain-major).
@@ -344,7 +337,9 @@ def _apply_block_batch(
     ``heights`` is (chains, n, width) and is modified in place; ``us`` is
     the per-sweep uniform buffer (chains, draws), and block i reads its
     draws from column ``offs[i]`` on.  No block may redraw another's
-    columns or endpoints, as within one colour of ``_colour_groups``."""
+    columns or endpoints, as within one colour of ``_colour_groups``.
+    ``spaces`` holds the local spaces of the run, keyed by local cap; the
+    block's space is added on first use."""
     k0, l0 = blocks[0]
     free = l0 is None
     m = (spec.n_right - k0) if free else (l0 - k0)
@@ -356,17 +351,18 @@ def _apply_block_batch(
     block_us = us[:, np.add.outer(offs, np.arange(n_draw))].reshape(-1, n_draw)
     end_top = None if free else int(win[:, 0, m].max())
     x_loc = _local_cutoff(spec, kernel, m, int(win[:, 0, 0].max()), end_top)
-    local = _local_transfer(spec.n, x_loc, kernel, tilt)
+    if x_loc not in spaces:
+        spaces[x_loc] = _LocalSpace(ee.chamber(spec.n, x_loc, kernel).tilted(tilt), kernel.max_step)
+    local = spaces[x_loc]
     states = local.step.chamber.states
     start = states.ids(win[:, :, 0])
-    slot, table, rows = local.forward_rows(m, start)
-    pred, size = local.step.chamber.candidates[0], states.size
-    base = slot * ((m + 1) * size)  # where each row's table starts, flat
+    slot, memo = local.forward_rows(m, start, spaces)
+    base = slot * ((m + 1) * states.size)  # where each row's table starts, flat
 
     def weigh(t, nxt):
-        return pred[nxt], rows.take(base + t * size + nxt)
+        return memo.pred[nxt], memo.take(base + t * states.size + nxt, spaces)
 
-    last = table[slot, m] if free else states.ids(win[:, :, m])
+    last = memo.table[slot, m] if free else states.ids(win[:, :, m])
     idx = ee.ffbs(m, start, last, block_us, weigh)
     stop = m if free else m - 1
     drawn = states.arr[idx[1 : stop + 1]]  # (stop, chains·B, n)
@@ -380,10 +376,12 @@ def _sweep_batch(
     tilt: TiltSpec,
     blocks,
     us: np.ndarray,
+    spaces: dict[int, _LocalSpace],
 ) -> None:
-    """One sweep in colour order, one batched redraw per colour group."""
+    """One sweep in colour order, one batched redraw per colour group,
+    on the local spaces of the run in ``spaces``."""
     for group, offs in _colour_groups(spec, blocks):
-        _apply_block_batch(heights, spec, kernel, tilt, group, us, offs)
+        _apply_block_batch(heights, spec, kernel, tilt, group, us, offs, spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +391,15 @@ def _sweep_batch(
 def _untilted_messages(spec: EnsembleSpec, kernel: Kernel) -> ee.TransferResult:
     """Untilted messages on the smallest doubled height cutoff (up to
     spec.x_max) that admits a path."""
-    if isinstance(spec.boundary, Bridge):
-        try:
-            ee._bridge_parity_check(spec, kernel)
-        except ee.ParityInfeasible as exc:
-            raise Infeasible(str(exc)) from None
     tops = [spec.boundary.u[0]]
     if isinstance(spec.boundary, Bridge):
         tops.append(spec.boundary.v[0])
     x_init = min(spec.x_max, max(tops) + 2 * spec.n + 8)
     while True:
-        res = ee._compute_messages(replace(spec, x_max=x_init), kernel)
+        try:
+            res = ee._compute_messages(replace(spec, x_max=x_init), kernel)
+        except ee.ParityInfeasible as exc:
+            raise Infeasible(str(exc)) from None
         if np.isfinite(res.log_z):
             return res
         if x_init >= spec.x_max:
@@ -458,7 +454,7 @@ def resample_block(
     n_draw = _block_draws(spec, block)
     heights = config.heights[None, :, :].copy()
     us = rng.random(n_draw)[None, :] if n_draw else np.zeros((1, 0))
-    _apply_block_batch(heights, spec, kernel, tilt, [block], us, [0])
+    _apply_block_batch(heights, spec, kernel, tilt, [block], us, [0], {})
     return config.with_heights(heights[0])
 
 
@@ -478,7 +474,7 @@ def sweep(
     n_draw = _sweep_draws(spec, blocks)
     heights = config.heights[None, :, :].copy()
     us = rng.random(n_draw)[None, :] if n_draw else np.zeros((1, 0))
-    _sweep_batch(heights, spec, kernel, tilt, blocks, us)
+    _sweep_batch(heights, spec, kernel, tilt, blocks, us, {})
     return config.with_heights(heights[0])
 
 
@@ -499,6 +495,7 @@ def sample_paths(
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(params.seed).spawn(params.chains)]
     r = params.chains
     heights = _init_heights(spec, kernel, gens)
+    spaces: dict[int, _LocalSpace] = {}  # the run's local spaces and their memos
 
     t_center = (spec.m_left + spec.n_right) // 2
     col_c = spec.col(t_center)
@@ -513,7 +510,7 @@ def sample_paths(
         if s_i % _SWEEP_CHUNK == 0:  # random((k, d)) gives the values of k calls random(d)
             k = min(_SWEEP_CHUNK, total - s_i)
             chunk = np.stack([g.random((k, n_draw)) for g in gens], axis=1)  # (k, chains, draws)
-        _sweep_batch(heights, spec, kernel, tilt, blocks, chunk[s_i % _SWEEP_CHUNK])
+        _sweep_batch(heights, spec, kernel, tilt, blocks, chunk[s_i % _SWEEP_CHUNK], spaces)
         j, off = divmod(s_i - params.burn_in, params.thin)
         if j >= 0 and off == 0:
             kept[j] = heights

@@ -19,7 +19,7 @@ from ensembles import model_core as mc
 
 def clear_library_caches() -> None:
     """Empty every ``functools`` cache in the ``ensembles`` modules, so the
-    next call builds its chambers, steps and memos afresh."""
+    next call builds its chambers afresh."""
     for name, mod in list(sys.modules.items()):
         if name.startswith("ensembles") and mod is not None:
             for obj in list(vars(mod).values()):

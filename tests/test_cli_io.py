@@ -427,6 +427,15 @@ class TestChamberBuiltOnce:
         cio.run(cio.parse_config(text + "model.lambda = 0.4\ndominance.walk_side = true\n"), tmp_path)
         assert len(built) == len(set(built)) == 2
 
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_invariance_threads_share_the_oracle_chamber(self, tmp_path, monkeypatch, threads):
+        # both lambda points' oracles step on the (1, 720 sites) stencil chamber;
+        # threads that missed the cache together each built it
+        built = self.built(monkeypatch)
+        cio.run(cio.parse_config(INVARIANCE_CFG), tmp_path, threads=threads)
+        assert built.count((1, 720)) == 1
+        assert len(built) == len(set(built)) == 3
+
 
 class TestMainEntry:
     def _write(self, tmp_path, text, name="cfg.txt"):

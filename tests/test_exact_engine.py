@@ -223,10 +223,12 @@ class TestStepMatrix:
             warnings.simplefilter("ignore", ee.CutoffDominatedWarning)
             ee.exact_sample(spec, unit, tilt_of(), seed=3, count=5)
         assert len(calls) == 1
-        gs._local_transfer.cache_clear()
-        gs._local_transfer(2, 9, unit, tilt_of())
-        assert len(calls) == 2
-        gs._init_heights(spec, unit, [np.random.default_rng(0)])  # exact_sample's chamber, x_max = 8
+        heights = gs._init_heights(spec, unit, [np.random.default_rng(0)])  # exact_sample's chamber, x_max = 8
+        assert len(calls) == 1
+        # the full-window block's reach cutoff, 12, is capped at x_max = 9
+        spaces, us = {}, np.full((1, 5), 0.5)
+        gs._apply_block_batch(heights, replace(spec, x_max=9), unit, tilt_of(), [(0, 6)], us, [0], spaces)
+        assert list(spaces) == [9] and spaces[9].step.chamber is ee.chamber(2, 9, unit)
         assert len(calls) == 2
 
     def test_rarest_product_move_raises_instead_of_vanishing(self):

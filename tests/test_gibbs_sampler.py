@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -169,7 +170,7 @@ class TestSteepTilt:
         cfg = gs.init_config(spec, unit, rng=np.random.default_rng(3))
         heights = np.repeat(cfg.heights[None], 2000, axis=0)
         us = np.random.default_rng(22).random((2000, 10))
-        gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0])
+        gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0], {})
         counts = np.bincount(
             [res.states.id_of(tuple(h)) for h in heights[:, :, 9]], minlength=res.states.size
         )
@@ -201,7 +202,7 @@ class TestRareMoveRedraw:
         heights = np.repeat(np.array([[u] * width + [v]])[None], chains, axis=0)
         us = np.random.default_rng(41).random((chains, width - 1))
         tilt = tilt_of(a=self.A, b=self.B, lam=self.LAM)
-        gs._apply_block_batch(heights, spec, kernel, tilt, [(0, width)], us, [0])
+        gs._apply_block_batch(heights, spec, kernel, tilt, [(0, width)], us, [0], {})
         counts = np.zeros(len(paths))
         for h in heights:
             path = tuple((int(x),) for x in h[0])
@@ -222,7 +223,7 @@ class TestRareMoveRedraw:
         cfg = gs.init_config(spec, unit, rng=np.random.default_rng(3))
         heights = np.repeat(cfg.heights[None], 2000, axis=0)
         us = np.random.default_rng(23).random((2000, 10))
-        gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0])
+        gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0], {})
         assert all(mc.log_tilt_weight(mc.PathConfig(heights=h, spec=spec), tilt) > mc.NEG_INF for h in heights)
         ends = res.states.ids(heights[:, :, 10])
         counts = np.bincount(ends, minlength=res.states.size)
@@ -272,7 +273,7 @@ class TestSweep:
         blocks = gs._blocks_schedule(spec, gs.McmcParams(block_len=3, overlap=1))
         n_draw = sum(gs._block_draws(spec, blk) for blk in blocks)
         us = rng.random((n_chains, n_draw))
-        gs._sweep_batch(heights, spec, lazy, tilt, blocks, us)
+        gs._sweep_batch(heights, spec, lazy, tilt, blocks, us, {})
         counts = np.bincount(
             [res.states.id_of(tuple(h)) for h in heights[:, :, 2]], minlength=s
         )
@@ -361,11 +362,11 @@ class TestColouring:
         cfg = gs.init_config(spec, unit, rng=np.random.default_rng(6))
         us = np.random.default_rng(7).random((16, gs._sweep_draws(spec, blocks)))
         together = np.repeat(cfg.heights[None], 16, axis=0)
-        gs._sweep_batch(together, spec, unit, tilt, blocks, us)
-        one_by_one = np.repeat(cfg.heights[None], 16, axis=0)
+        gs._sweep_batch(together, spec, unit, tilt, blocks, us, {})
+        one_by_one, spaces = np.repeat(cfg.heights[None], 16, axis=0), {}
         for group, offs in gs._colour_groups(spec, blocks):
             for block, off in zip(group, offs):
-                gs._apply_block_batch(one_by_one, spec, unit, tilt, [block], us, [off])
+                gs._apply_block_batch(one_by_one, spec, unit, tilt, [block], us, [off], spaces)
         assert (together == one_by_one).all()
         assert (together != cfg.heights).any()
 
@@ -397,9 +398,9 @@ class TestColouring:
                 return cutoffs[-1]
 
             monkeypatch.setattr(gs, "_local_cutoff", cutoff)
-            heights = np.repeat(cfg.heights[None], 64, axis=0)
+            heights, spaces = np.repeat(cfg.heights[None], 64, axis=0), {}
             for _ in range(3):
-                gs._sweep_batch(heights, spec, unit, tilt, blocks, us)
+                gs._sweep_batch(heights, spec, unit, tilt, blocks, us, spaces)
             out.append(heights)
         assert max(cutoffs[: len(cutoffs) // 2]) < spec.x_max
         assert (out[0] == out[1]).all()
@@ -466,17 +467,27 @@ class TestColouredSweepKernel:
         heights = np.repeat(cfg.heights[None], chains, axis=0)
         us = np.random.default_rng(31).random((chains, gs._sweep_draws(spec, blocks)))
         tilt = tilt_of(a=self.A, b=self.B, lam=self.LAM)
-        gs._sweep_batch(heights, spec, lazy, tilt, blocks, us)
+        gs._sweep_batch(heights, spec, lazy, tilt, blocks, us, {})
         counts = np.bincount(
             [index[tuple(map(tuple, h.T))] for h in heights], minlength=len(paths)
         )
         assert chi_square_p(counts, sweep[index[start]]) > 0.001
 
 
+def _memo_held(memo):
+    """The entries one block memo holds against the budget, as ``gs._held`` counts them."""
+    return memo.table.size + memo.at.size + memo.store.size
+
+
+def _fresh_rows(memo, keys, spaces):
+    """Stands in for ``_BlockMemo.take``: each draw's rows built afresh."""
+    return memo.build(keys)
+
+
 class TestForwardMemo:
-    """Block redraws read per-start log forward rows from a memo on the
-    cached local space; the rows of a start are built once and do not
-    depend on the batch or the cache state that built them."""
+    """Block redraws read per-start log forward rows from their run's memo
+    on the local space; the rows of a start are built once and do not
+    depend on the batch or the memo state that built them."""
 
     PARAMS = gs.McmcParams(block_len=6, overlap=3)
     CASES = {
@@ -485,17 +496,18 @@ class TestForwardMemo:
         "steep": (walk_spec(2, -12, 12, (8, 6), x_max=24), tilt_of(a=10.0, b=4.0, lam=1.0)),
     }
 
-    def _sweeps(self, spec, heights, us, tilt, kernel, one_by_one=False):
+    def _sweeps(self, spec, heights, us, tilt, kernel, spaces, one_by_one=False):
+        """Sweeps of one run on the local spaces in ``spaces``."""
         blocks = gs._blocks_schedule(spec, self.PARAMS)
         for row in us:
             if not one_by_one:
-                gs._sweep_batch(heights, spec, kernel, tilt, blocks, row)
+                gs._sweep_batch(heights, spec, kernel, tilt, blocks, row, spaces)
                 continue
             for group, offs in gs._colour_groups(spec, blocks):
                 for block, off in zip(group, offs):
                     for c in range(len(heights)):
                         one = slice(c, c + 1)
-                        gs._apply_block_batch(heights[one], spec, kernel, tilt, [block], row[one], [off])
+                        gs._apply_block_batch(heights[one], spec, kernel, tilt, [block], row[one], [off], spaces)
         return heights
 
     def _start(self, spec, unit, chains):
@@ -512,7 +524,7 @@ class TestForwardMemo:
         monkeypatch.setattr(gs, "_forward_log_rows", lambda step, *a: built.append((step, a)) or real(step, *a))
         monkeypatch.setattr(gs, "_apply_block_batch", lambda *a: calls.append(a) or apply(*a))
         heights, us = self._start(spec, unit, 12)
-        self._sweeps(spec, heights, us, tilt, unit)
+        self._sweeps(spec, heights, us, tilt, unit, {})
         keys = [(id(step), m, int(s)) for step, (_, starts, m) in built for s in starts]
         assert len(keys) == len(set(keys))
         assert 0 < len(built) < len(calls)
@@ -521,11 +533,11 @@ class TestForwardMemo:
     def test_warm_cold_and_one_block_draws_agree(self, unit, case):
         spec, tilt = self.CASES[case]
         heights, us = self._start(spec, unit, 12)
-        out = []
+        out, spaces = [], {}
         for clear, one_by_one in ((True, False), (False, False), (True, True)):
             if clear:
-                gs._local_transfer.cache_clear()
-            out.append(self._sweeps(spec, heights.copy(), us, tilt, unit, one_by_one))
+                spaces = {}
+            out.append(self._sweeps(spec, heights.copy(), us, tilt, unit, spaces, one_by_one))
         assert (out[0] != heights).any()
         assert (out[0] == out[1]).all() and (out[0] == out[2]).all()
 
@@ -535,26 +547,61 @@ class TestForwardMemo:
         seen, built = [], []
         memo_rows, build = gs._LocalSpace.forward_rows, gs._forward_log_rows
 
-        def recorded(local, m, starts):
-            slot, table, rows = memo_rows(local, m, starts)
-            seen.append((np.unique(starts).size, len(table), table.size))
-            return slot, table, rows
+        def recorded(local, m, starts, spaces):
+            slot, memo = memo_rows(local, m, starts, spaces)
+            seen.append((np.unique(starts).size, len(memo.table), memo.table.size))
+            return slot, memo
 
         monkeypatch.setattr(gs._LocalSpace, "forward_rows", recorded)
         monkeypatch.setattr(gs, "_forward_log_rows", lambda step, *a: built.append((step, a)) or build(step, *a))
-        free = self._sweeps(spec, heights.copy(), us, tilt, unit)
+        free = self._sweeps(spec, heights.copy(), us, tilt, unit, {})
         budget = max(size for *_, size in seen) // 2
         monkeypatch.setenv("ENSEMBLES_BUDGET", str(budget))
         seen.clear(), built.clear()
-        gs._local_transfer.cache_clear()
-        held = self._sweeps(spec, heights.copy(), us, tilt, unit)
-        gs._local_transfer.cache_clear()
+        held = self._sweeps(spec, heights.copy(), us, tilt, unit, {})
         # each memo keeps to the budget, or holds only the starts of the call that took it over
         assert all(size <= budget or slots == batch for batch, slots, size in seen)
         assert any(size > budget for *_, size in seen)
         keys = [(id(step), m, int(s)) for step, (_, starts, m) in built for s in starts]
         assert len(keys) > len(set(keys))  # a start dropped from a full memo is built again
         assert (free == held).all()
+
+    def test_memos_of_one_run_share_the_budget(self, unit, monkeypatch):
+        # the sample-n2-walk benchmark op's run: under a budget that each of
+        # its memos fits alone, the memos together do not fit
+        spec = walk_spec(2, -20, 20, (2, 1), x_max=mc.default_x_max(0.3, 2))
+        params = gs.McmcParams(block_len=8, overlap=4, sweeps=30, burn_in=10, seed=7, chains=32)
+        peak, seen = {}, []
+        memo_rows, take = gs._LocalSpace.forward_rows, gs._BlockMemo.take
+
+        def recorded(local, m, starts, spaces):
+            slot, memo = memo_rows(local, m, starts, spaces)
+            alone = gs._held(spaces) == _memo_held(memo) and len(memo.table) == np.unique(starts).size
+            seen.append((gs._held(spaces), alone))
+            peak[id(memo)] = max(peak.get(id(memo), 0), _memo_held(memo))
+            return slot, memo
+
+        def held(memo, keys, spaces):
+            out = take(memo, keys, spaces)
+            stored = sum(other.used for local in spaces.values() for other in local.memo.values())
+            seen.append((gs._held(spaces), memo.used == np.unique(keys).size == stored))
+            peak[id(memo)] = max(peak.get(id(memo), 0), _memo_held(memo))
+            return out
+
+        def run():
+            samples, _ = gs.sample_paths(spec, unit, tilt_of(lam=0.3), params)
+            return np.stack([p.heights for p in samples])
+
+        monkeypatch.setattr(gs._LocalSpace, "forward_rows", recorded)
+        monkeypatch.setattr(gs._BlockMemo, "take", held)
+        free = run()
+        budget = max(peak.values())
+        assert len(peak) > 1 and sum(peak.values()) > budget
+        seen.clear()
+        monkeypatch.setenv("ENSEMBLES_BUDGET", str(budget))
+        assert run().tobytes() == free.tobytes()
+        # the run keeps to the budget, or holds only the current call's rows
+        assert all(size <= budget or alone for size, alone in seen)
 
     def test_sample_paths_grows_no_module_container(self, unit):
         import sys
@@ -586,30 +633,28 @@ class TestCandidateRows:
     def _run(self, unit, case="gentle"):
         spec, tilt = self.memo.CASES[case]
         heights, us = self.memo._start(spec, unit, 12)
-        gs._local_transfer.cache_clear()
-        try:
-            return self.memo._sweeps(spec, heights, us, tilt, unit)
-        finally:
-            gs._local_transfer.cache_clear()
+        return self.memo._sweeps(spec, heights, us, tilt, unit, {})
 
     @pytest.mark.parametrize("case", sorted(TestForwardMemo.CASES))
     def test_rows_built_once_per_slot_time_and_state(self, unit, monkeypatch, case):
         built, taken = [], []
-        build, take = gs._CandidateRows.build, gs._CandidateRows.take
+        build, take = gs._BlockMemo.build, gs._BlockMemo.take
 
-        def counted(rows, keys):
-            built.extend((id(rows.pred), rows.table.shape[1], int(k)) for k in keys)
-            return build(rows, keys)
+        def counted(memo, keys):
+            built.extend((id(memo.pred), memo.table.shape[1], int(k)) for k in keys)
+            return build(memo, keys)
 
-        monkeypatch.setattr(gs._CandidateRows, "build", counted)
-        monkeypatch.setattr(gs._CandidateRows, "take", lambda rows, keys: taken.append(keys.size) or take(rows, keys))
+        monkeypatch.setattr(gs._BlockMemo, "build", counted)
+        monkeypatch.setattr(
+            gs._BlockMemo, "take", lambda memo, keys, spaces: taken.append(keys.size) or take(memo, keys, spaces)
+        )
         self._run(unit, case)
         assert built and len(built) == len(set(built))
         assert sum(taken) > len(built)  # rows are reused
 
     def test_draws_equal_per_draw_rows(self, unit, monkeypatch):
         stored = self._run(unit)
-        monkeypatch.setattr(gs._CandidateRows, "take", gs._CandidateRows.build)  # each draw's row afresh
+        monkeypatch.setattr(gs._BlockMemo, "take", _fresh_rows)
         assert (stored == self._run(unit)).all()
 
     def test_steep_block_draws_equal_per_draw_rows(self, unit, monkeypatch):
@@ -619,63 +664,63 @@ class TestCandidateRows:
         cfg = gs.init_config(spec, unit, rng=np.random.default_rng(3))
         us = np.random.default_rng(22).random((500, 10))
         out = []
-        for take in (gs._CandidateRows.take, gs._CandidateRows.build):
-            monkeypatch.setattr(gs._CandidateRows, "take", take)
-            gs._local_transfer.cache_clear()
+        for take in (gs._BlockMemo.take, _fresh_rows):
+            monkeypatch.setattr(gs._BlockMemo, "take", take)
             heights = np.repeat(cfg.heights[None], 500, axis=0)
-            gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0])
+            gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0], {})
             out.append(heights)
-        gs._local_transfer.cache_clear()
         assert (out[0] == out[1]).all()
         assert len(np.unique(out[0].reshape(500, -1), axis=0)) > 5
 
     def test_budget_trim_resets_the_store(self, unit, monkeypatch):
         free = self._run(unit)
         seen, calls = [], []
-        memo_rows, take = gs._LocalSpace.forward_rows, gs._CandidateRows.take
+        memo_rows, take = gs._LocalSpace.forward_rows, gs._BlockMemo.take
 
-        def recorded(local, m, starts):
+        def recorded(local, m, starts, spaces):
             before = local.memo.get(m)
-            slot, table, rows = memo_rows(local, m, starts)
-            if before is not None and rows is not before[2]:
-                old = before[2]
-                kept = rows.used == old.used and (rows.at[: old.at.size] == old.at).all()
-                trimmed = len(table) == np.unique(starts).size and rows.used == 0
-                seen.append((kept, trimmed, old.used))
-            return slot, table, rows
+            old = None if before is None else (len(before.table), before.used, before.at.copy(), before.store)
+            slot, memo = memo_rows(local, m, starts, spaces)
+            if old is not None and (memo is not before or len(memo.table) > old[0]):
+                kept = memo is before and memo.used == old[1] and (memo.at[: old[2].size] == old[2]).all()
+                kept &= memo.store is old[3]  # the stored rows stay, uncopied
+                trimmed = len(memo.table) == np.unique(starts).size and memo.used == 0
+                trimmed &= gs._held(spaces) == _memo_held(memo)  # the run's other memos are emptied
+                seen.append((kept, trimmed, old[1]))
+            return slot, memo
 
-        def held(rows, keys):
-            before = rows.used
-            out = take(rows, keys)
-            calls.append((2 * rows.at.size + rows.store.size, rows.used, np.unique(keys).size, before))
+        def held(memo, keys, spaces):
+            before = memo.used
+            out = take(memo, keys, spaces)
+            calls.append((gs._held(spaces), _memo_held(memo), memo.used, np.unique(keys).size, before))
             return out
 
         monkeypatch.setattr(gs._LocalSpace, "forward_rows", recorded)
-        monkeypatch.setattr(gs._CandidateRows, "take", held)
+        monkeypatch.setattr(gs._BlockMemo, "take", held)
         self._run(unit)
-        budget = max(size for size, *_ in calls) // 2
+        budget = max(size for _, size, *_ in calls) // 2
         seen.clear(), calls.clear()
         monkeypatch.setenv("ENSEMBLES_BUDGET", str(budget))
         assert (self._run(unit) == free).all()
-        # a table grown without a trim keeps the stored rows; a trim drops them
+        # a table grown in place keeps its stored rows; a trim empties the run's memos
         assert all(kept or trimmed for kept, trimmed, _ in seen)
         assert any(trimmed and used > 0 for _, trimmed, used in seen)
-        # the table, the positions and the stored rows keep to the budget,
-        # or hold only the rows of the call that took them over
-        assert all(size <= budget or used == batch for size, used, batch, _ in calls)
-        assert any(used < before for _, used, _, before in calls)  # a fill dropped the stored rows
+        # the run's tables, positions and stored rows keep to the budget,
+        # or the memo holds only the rows of the call that took them over
+        assert all(size <= budget or used == batch for size, _, used, batch, _ in calls)
+        assert any(used < before for *_, used, _, before in calls)  # a fill dropped the stored rows
 
     def test_zero_mass_row_raises_and_is_not_stored(self, unit):
         # the pinned end 12 is 11 sites from the start, beyond 4 steps of 2
         spec = bridge_spec(1, 0, 4, (1,), (1,), x_max=20)
         heights = np.array([[[1, 2, 3, 4, 12]]])
         us = np.full((1, 3), 0.5)
+        spaces = {}
         for _ in range(2):
             with pytest.raises(ValueError, match="^cannot sample from zero mass$"):
-                gs._apply_block_batch(heights, spec, unit, tilt_of(), [(0, 4)], us, [0])
-        rows = next(iter(gs._local_transfer(1, 12, unit, tilt_of()).memo.values()))[2]
-        gs._local_transfer.cache_clear()
-        assert rows.used == 0 and (rows.at == -1).all()
+                gs._apply_block_batch(heights, spec, unit, tilt_of(), [(0, 4)], us, [0], spaces)
+        memo = spaces[12].memo[4]
+        assert memo.used == 0 and (memo.at == -1).all()
 
     def test_two_threads_sharing_a_space_draw_as_one(self, unit):
         import threading
@@ -686,11 +731,7 @@ class TestCandidateRows:
         def heights(samples):
             return np.stack([p.heights for p in samples])
 
-        alone = []
-        for p in params:
-            gs._local_transfer.cache_clear()
-            alone.append(heights(gs.sample_paths(spec, unit, tilt, p)[0]))
-        gs._local_transfer.cache_clear()
+        alone = [heights(gs.sample_paths(spec, unit, tilt, p)[0]) for p in params]
         start, out = threading.Barrier(2), [None, None]
 
         def run(i):
@@ -702,11 +743,55 @@ class TestCandidateRows:
             t.start()
         for t in threads:
             t.join()
-        gs._local_transfer.cache_clear()
         assert all(o is not None and o.tobytes() == a.tobytes() for o, a in zip(out, alone))
 
 
 class TestSamplePaths:
+    # sha256 of the stacked little-endian int64 kept heights, recorded when
+    # the block memos were a module-level cache that runs shared
+    PINNED_DRAWS = {
+        # criterion 03's bridge, with fewer sweeps and chains
+        "criterion-03-bridge": (
+            lambda: (bridge_spec(1, -10, 10, (1,), (1,), x_max=mc.default_x_max(0.3, 1)), tilt_of(lam=0.3),
+                     gs.McmcParams(block_len=8, overlap=4, sweeps=200, burn_in=20, thin=2, seed=7, chains=20)),
+            "ad07dc9709e4da7ad6235d101e2466bda625800c394c683ea4d0d2451533ef60",
+        ),
+        # the sample-n2-walk benchmark op at seed 7
+        "sample-n2-walk": (
+            lambda: (walk_spec(2, -20, 20, (2, 1), x_max=mc.default_x_max(0.3, 2)), tilt_of(lam=0.3),
+                     gs.McmcParams(block_len=8, overlap=4, sweeps=30, burn_in=10, seed=7, chains=32)),
+            "1184d9c4dcda73e5d535b44bccc30029e2a81133f99458a3a77ef2fdaa60f6fa",
+        ),
+        # TestSteepTilt's steep n = 3 walk
+        "steep-walk-n3": (
+            lambda: (walk_spec(3, 0, 10, (14, 13, 12), x_max=16), tilt_of(a=4.0, b=4.0, lam=1.0),
+                     gs.McmcParams(block_len=6, overlap=3, sweeps=20, burn_in=5, seed=3, chains=8)),
+            "c3723b277d3164a2e42f7ea7bf3072746928fa6a220d43e7996a9893f422ca4d",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name,budget",
+        [("criterion-03-bridge", None), ("sample-n2-walk", None), ("sample-n2-walk", 30000), ("steep-walk-n3", None)],
+    )
+    def test_pinned_draws(self, unit, monkeypatch, name, budget):
+        """A change of the chains' streams or of the block redraws changes these draws."""
+        made, dropped = [], []
+        if budget is not None:  # low enough that the run restarts its memos and drops its stored rows
+            monkeypatch.setenv("ENSEMBLES_BUDGET", str(budget))
+            init, drop = gs._BlockMemo.__init__, gs._BlockMemo.drop_rows
+            monkeypatch.setattr(
+                gs._BlockMemo, "__init__", lambda memo, ch, m: made.append((id(ch), m)) or init(memo, ch, m)
+            )
+            monkeypatch.setattr(gs._BlockMemo, "drop_rows", lambda memo: dropped.append(memo) or drop(memo))
+        make, digest = self.PINNED_DRAWS[name]
+        spec, tilt, params = make()
+        samples, _ = gs.sample_paths(spec, unit, tilt, params)
+        heights = np.stack([p.heights for p in samples])
+        assert heights.shape == (params.chains * -(-params.sweeps // params.thin), spec.n, spec.width)
+        assert hashlib.sha256(heights.astype("<i8").tobytes()).hexdigest() == digest
+        assert budget is None or (len(made) > len(set(made)) and dropped)
+
     def test_zero_sweeps_yields_empty(self, lazy):
         spec = bridge_spec(1, 0, 4, (1,), (1,), x_max=8)
         params = gs.McmcParams(sweeps=0, burn_in=0, seed=1)
