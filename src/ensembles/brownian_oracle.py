@@ -16,11 +16,14 @@ forward pass for j steps and the backward pass for the remaining
 n_steps - j, in scaled linear space with accumulated log scales (Rabiner
 1989), so it costs one polymer pass and keeps only two state vectors;
 when both ends are the same point, the shorter half is run once and
-mirrored by the tilt, so it costs max(j, n_steps - j) steps.  Where a
-steep tilt may have flushed an entry that the marginal needs, both
-messages are recomputed with the factors' exact log-space step
-(``log_rows``).  The stationary density comes from Lanczos (ARPACK,
-Lehoucq, Sorensen & Yang 1998) on the symmetrized tilted step.
+mirrored by the tilt, so it costs max(j, n_steps - j) steps.  Each step
+drops the entries that its division by the top makes subnormal, as the
+exact engine's step does: x86 does arithmetic on them through a slow
+microcode path.  Where a steep tilt may have flushed an entry, or left
+one inexact, that the marginal needs, both messages are recomputed with
+the factors' exact log-space step (``log_rows``).  The stationary
+density comes from Lanczos (ARPACK, Lehoucq, Sorensen & Yang 1998) on
+the symmetrized tilted step.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _linalg as la
 from . import exact_engine as ee
 from .model_core import NEG_INF, Kernel, make_kernel
 
@@ -218,8 +222,9 @@ def _scaled_pass(step, log_v: np.ndarray, steps: int) -> np.ndarray:
     """log of step^steps(exp(log_v)) for a linear, nonnegative ``step``.
 
     The vector is kept in linear space, divided by its maximum after
-    every step, and the log of each maximum is added to a running scale;
-    the log is taken once, at the end.  Zero mass gives all -inf."""
+    every step, with the entries that this makes subnormal set to 0.0,
+    and the log of each maximum is added to a running scale; the log is
+    taken once, at the end.  Zero mass gives all -inf."""
     scale = np.max(log_v)
     if not np.isfinite(scale):
         return np.full_like(log_v, NEG_INF)
@@ -230,6 +235,7 @@ def _scaled_pass(step, log_v: np.ndarray, steps: int) -> np.ndarray:
         if not top > 0.0:
             return np.full_like(log_v, NEG_INF)
         v /= top
+        v[v < la.TINY] = 0.0
         scale += math.log(top)
     with np.errstate(divide="ignore"):
         return np.log(v) + scale
@@ -252,10 +258,11 @@ def _polymer_messages(
     backward one.  The longer half then runs only its remaining
     |n_steps - 2j| steps.
 
-    A scaled pass flushes entries more than ~708 nats below its top.  If
-    the tilt itself spans that much, or ``_may_have_lost_mass`` finds a
-    flushed entry that could matter, both messages are run again in
-    exact log space."""
+    A scaled pass flushes entries more than ~708 nats below its top, and
+    an entry more than ~671 nats below it (``ee._LOG_INEXACT``) may have
+    lost part of its terms to that.  If the tilt itself spans ~708 nats,
+    or ``_may_have_lost_mass`` finds an entry under that ceiling that could
+    matter, both messages are run again in exact log space."""
     check_polymer_budget(n, grid)
     states, g = _killed_step(n, grid.n_sites)
     log_tilt = _tilt_log_vector(states, a, b, grid.dx)
@@ -292,22 +299,24 @@ def _polymer_messages(
 
 
 def _may_have_lost_mass(states: ee.StateSpace, passes) -> bool:
-    """Whether a scaled pass may have flushed an entry that matters.
+    """Whether a scaled pass may have flushed, or left inexact, an entry
+    that matters.
 
     ``passes`` holds the forward and the backward (log message, start
-    vector, steps).  An entry may be flushed when it lies more than ~708
-    nats below its message's top and its pass can reach it: each step
-    moves a curve at most STENCIL_REACH sites from a one-point start.  It
-    matters when, times the other message, it could hold marginal mass
-    within _NEGLIGIBLE nats of the marginal's top."""
+    vector, steps).  An entry may be flushed or inexact when it lies more
+    than ~671 nats (``ee._LOG_INEXACT``) below its message's top and its
+    pass can reach it: each step moves a curve at most STENCIL_REACH sites
+    from a one-point start.  It matters when, times the other message, it
+    could hold marginal mass within _NEGLIGIBLE nats of the marginal's
+    top."""
     (fwd, _, _), (bwd, _, _) = passes
     total = np.max(fwd + bwd)
     for (this, start, steps), (other, _, _) in (passes, passes[::-1]):
-        floor = this.max() + ee._LOG_TINY
+        floor = this.max() + ee._LOG_INEXACT
         reach = np.isfinite(start)
         if not reach.all():
             reach = np.abs(states.arr - states.arr[reach]).max(axis=1) <= STENCIL_REACH * steps
-        other_up = np.maximum(other, other.max() + ee._LOG_TINY)
+        other_up = np.maximum(other, other.max() + ee._LOG_INEXACT)
         if np.any((this < floor) & reach & (floor + other_up > total - ee._NEGLIGIBLE)):
             return True
     return False

@@ -48,7 +48,11 @@ DEFAULT_BUDGET = 5e7
 
 CUTOFF_NEAR = 2  # "near the cap" means top curve within this of x_max
 CUTOFF_MASS_TOL = 1e-8
-_LOG_TINY = math.log(2.0 * np.finfo(float).tiny)  # below this a linear sum may have lost terms
+# A linear step drops its shifted inputs below TINY (la.log_mat_vec), so a
+# shifted row loses less than 2 * TINY: _LOG_TINY bounds the mass lost, and
+# a row under _LOG_INEXACT, 2^53 times that bound, may be off by over an ulp.
+_LOG_TINY = math.log(2.0 * la.TINY)
+_LOG_INEXACT = math.log(2.0**53 * 2.0 * la.TINY)
 _NEGLIGIBLE = 800.0  # a state this many nats below log Z has probability 0.0 in double
 
 
@@ -429,12 +433,13 @@ def _compute_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec | None 
     states, log_tilt = step.chamber.states, step.log_tilt
     fwd, bwd = step.chamber.forward, step.chamber.backward
     start = states.ids(spec.boundary.u)
-    # la.log_mat_vec shifts its input by one maximum, so a row whose terms all
-    # lie far below it comes out subnormal or -inf while its true value is
-    # under that step's `ceiling`.  Such a row is redone in log space where it
-    # could hold probability within _NEGLIGIBLE nats of log Z.  A first
-    # backward pass bounds each row's backward value for the forward pass;
-    # the backward pass is then run again against the finished forward.
+    # la.log_mat_vec shifts its input by one maximum and drops the inputs
+    # that the shift makes subnormal, so a row whose terms lie far below it
+    # comes out inexact or -inf while its true value is under that step's
+    # `ceiling` (_LOG_INEXACT above the shift).  Such a row is redone in log
+    # space where it could hold probability within _NEGLIGIBLE nats of log Z.
+    # A first backward pass bounds each row's backward value for the forward
+    # pass; the backward pass is then run again against the finished forward.
     backward = np.full((w, s), NEG_INF)
     if isinstance(spec.boundary, Bridge):
         backward[-1, states.ids(spec.boundary.v)] = 0.0
@@ -457,7 +462,7 @@ def _compute_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec | None 
     for t in range(1, w):
         prev = forward[t - 1] + log_tilt
         forward[t] = la.log_mat_vec(fwd, 0.0, prev)
-        ceiling = prev.max() + _LOG_TINY
+        ceiling = prev.max() + _LOG_INEXACT
         # only a reachable row under the ceiling can have lost mass, so the
         # backward bound is taken on those rows alone
         rows = np.flatnonzero((forward[t] < ceiling) & (first <= t))
@@ -475,7 +480,7 @@ def _compute_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec | None 
             row = la.log_mat_vec(bwd, log_tilt, nxt)
             changed = not np.array_equal(row, backward[t])
             backward[t] = row
-        ceiling = log_tilt + shift[t] + _LOG_TINY
+        ceiling = log_tilt + shift[t] + _LOG_INEXACT
         lost = (backward[t] < ceiling) & (forward[t] + ceiling > log_z - _NEGLIGIBLE)
         if lost.any():
             lost &= bwd @ np.isfinite(nxt) > 0  # a row with no finite successor is -inf
@@ -490,8 +495,10 @@ def _compute_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec | None 
             top = row.max()
             if not np.isfinite(top):
                 continue
-            p = np.exp(row - top)
-            if p[near].sum() > CUTOFF_MASS_TOL * p.sum():
+            # the row's total is at least the top's 1.0, so it is summed only
+            # when the near mass alone clears the tolerance
+            mass = np.exp(row[near] - top).sum()
+            if mass > CUTOFF_MASS_TOL and mass > CUTOFF_MASS_TOL * np.exp(row - top).sum():
                 cutoff = True
                 break
     return TransferResult(

@@ -208,7 +208,8 @@ def _forward_log_rows(step: ee.TransferStep, max_step: int, starts: np.ndarray, 
     the log tilt of times t < m folded in.
 
     A step runs in linear space, each start shifted by the maximum of its
-    previous row, as ``la.log_mat_vec`` does for one vector.  A reachable
+    previous row, as ``la.log_mat_vec`` does for one vector (which also
+    drops the subnormal inputs that this step keeps).  A reachable
     entry under its start's ``ceiling = max + ee._LOG_TINY`` may have lost
     terms to that shift, so it is redone in exact log space; a redo is
     written only where its own start lost the entry, so a start's rows do

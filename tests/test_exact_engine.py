@@ -579,6 +579,118 @@ class TestChainedBackwardRedo:
         assert chi_square_p(counts, np.array([law[p] for p in paths])) > 0.001
 
 
+class TestSubnormalInputs:
+    """The linear steps set their shifted inputs below the smallest normal
+    double to 0.0, so a row a few hundred nats below its shift may be
+    inexact, and is redone in log space when it could matter."""
+
+    def test_inexact_rows_are_redone(self, unit):
+        # rows between ~671 and ~708 nats below the shift lose part of their
+        # terms; left unredone, the marginal at t = 2 errs by about 1e-8
+        spec = walk_spec(1, 0, 4, (104,), x_max=113)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ee.CutoffDominatedWarning)
+            res = ee.ensemble_messages(spec, unit, tilt_of(a=7.25, b=2.0, lam=1.0))
+        states = res.states
+        for t in spec.times:
+            d = ee.marginal_from_messages(res, t)
+            expected = np.zeros(states.size)
+            for (col,), p in brute_law(spec, unit, 7.25, 2.0, 1.0, [t]).items():
+                expected[states.id_of(col)] = p
+            assert np.abs(d.probs - expected).max() <= 1e-12
+
+    def test_sparse_products_get_no_subnormal_input(self, unit, monkeypatch):
+        tiny = np.finfo(float).tiny
+        subnormal = []
+        real = ee._Chain.__matmul__
+
+        def recorded(chain, v):
+            subnormal.append(np.count_nonzero((v > 0) & (v < tiny)))
+            return real(chain, v)
+
+        monkeypatch.setattr(ee._Chain, "__matmul__", recorded)
+        # a steep two-curve walk: its messages span hundreds of nats
+        ee.ensemble_messages(walk_spec(2, 0, 10, (14, 12), x_max=30), unit, tilt_of(a=4.0, b=2.0, lam=1.0))
+        # a one-hot start: the Gaussian front of the 112-step backward half
+        # runs far below the top (the forward half's 16 steps stay above)
+        grid = bo.GridSpec(dx=0.25, height_cap=80.0, m_half=4.0)
+        bo._polymer_messages(1, 1.0, 2.0, grid, bo.ZeroBC(), 16)
+        assert len(subnormal) > 100 and sum(subnormal) == 0
+
+
+def dense_log_messages(spec, kernel, tilt):
+    """States and the forward and backward log messages of ``spec``, summed
+    in exact log space over the dense chamber: a move's log probability is
+    the sum of its curves' log step probabilities."""
+    states = ee.enumerate_states(spec.n, spec.x_max)
+    cols = states.arr
+    log_p = dict(zip(kernel.offsets, np.log(kernel.probs)))
+    log_step = np.full((states.size, states.size), -np.inf)
+    for i, j in itertools.product(range(states.size), repeat=2):
+        moves = cols[j] - cols[i]
+        if all(z in log_p for z in moves):
+            log_step[i, j] = math.fsum(log_p[z] for z in moves)
+    log_tilt = -(tilt.potential.value(cols) @ tilt.curve_weights(spec.n))
+    fwd = np.full((spec.width, states.size), -np.inf)
+    fwd[0, states.id_of(spec.boundary.u)] = 0.0
+    for t in range(1, spec.width):
+        fwd[t] = logsumexp((fwd[t - 1] + log_tilt)[:, None] + log_step, axis=0)
+    bwd = np.full((spec.width, states.size), -np.inf)
+    if isinstance(spec.boundary, mc.Bridge):
+        bwd[-1, states.id_of(spec.boundary.v)] = 0.0
+    else:
+        bwd[-1] = 0.0
+    for t in range(spec.width - 2, -1, -1):
+        bwd[t] = log_tilt + logsumexp(log_step + bwd[t + 1][None, :], axis=1)
+    return states, fwd, bwd
+
+
+@st.composite
+def rare_move_cases(draw):
+    """A bridge or walk (n <= 2, x_max <= 9, up to 11 steps) under a
+    symmetric kernel of reach 1 or 2 whose moves have probabilities down
+    to 1e-300 (1e-150 for two curves: the engine refuses a product move
+    below the smallest normal double), with a steep tilt (a up to 3000)."""
+    n = draw(st.integers(1, 2))
+    reach = draw(st.integers(1, 2))
+    weights = [10.0 ** -draw(st.floats(0.0, 300.0 / n)) for _ in range(reach)]
+    total = 1.0 + 2.0 * sum(weights)
+    offsets = range(-reach, reach + 1)
+    kernel = mc.make_kernel(offsets, [weights[abs(z) - 1] / total if z else 1.0 / total for z in offsets])
+    x_max = draw(st.integers(n + 1, 9))
+    chamber = sorted(tuple(reversed(c)) for c in itertools.combinations(range(1, x_max + 1), n))
+    u = draw(st.sampled_from(chamber))
+    steps = draw(st.integers(1, 11))
+    a, b, lam = 10.0 ** draw(st.floats(-1.0, math.log10(3000.0))), draw(st.floats(1.1, 4.0)), draw(st.floats(0.2, 1.0))
+    bridge = draw(st.booleans())
+    return kernel, walk_spec(n, 0, steps, u, x_max), tilt_of(a=a, b=b, lam=lam), bridge, draw(st.integers(0, 10**6))
+
+
+class TestDenseLogReference:
+    """Marginals of the message passes against a dense log-space
+    forward/backward reference, where rare moves and steep tilts put the
+    mass far below any one linear-space shift."""
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(rare_move_cases())
+    def test_marginals_match_reference(self, case):
+        kernel, spec, tilt, bridge, pick = case
+        states, fwd, bwd = dense_log_messages(spec, kernel, tilt)
+        if bridge:
+            ends = np.flatnonzero(np.isfinite(fwd[-1]))
+            v = tuple(int(x) for x in states.arr[ends[pick % ends.size]])
+            spec = bridge_spec(spec.n, 0, spec.n_right, spec.boundary.u, v, spec.x_max)
+            states, fwd, bwd = dense_log_messages(spec, kernel, tilt)
+        res = ee.ensemble_messages(spec, kernel, tilt)
+        ref = fwd + bwd
+        assert res.log_z == pytest.approx(logsumexp(ref[0]), rel=1e-12)
+        for t in spec.times:
+            p = np.exp(ref[t] - ref[t].max())
+            p /= p.sum()
+            assert np.abs(ee.marginal_from_messages(res, t).probs - p).max() <= 1e-12
+
+
 class TestFactoredStep:
     """The message passes step the one-curve factors: lost rows are redone
     factor by factor in exact log space, and the product CSR is never
