@@ -242,7 +242,7 @@ def _scaled_pass(step, log_v: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _polymer_messages(
-    n: int, a: float, b: float, grid: GridSpec, boundary: BoundaryMode, j: int
+    n: int, a: float, b: float, grid: GridSpec, boundary: BoundaryMode, j: int, passes: dict | None = None
 ) -> tuple[ee.StateSpace, np.ndarray, np.ndarray]:
     """Chamber states and the log forward and backward messages at step j.
 
@@ -262,7 +262,11 @@ def _polymer_messages(
     an entry more than ~671 nats below it (``ee._LOG_INEXACT``) may have
     lost part of its terms to that.  If the tilt itself spans ~708 nats,
     or ``_may_have_lost_mass`` finds an entry under that ceiling that could
-    matter, both messages are run again in exact log space."""
+    matter, both messages are run again in exact log space.
+
+    ``passes``, a dict that calls for several boundary modes may share,
+    keeps each half pass by its direction, length and start vector, so a
+    half pass that two modes have in common runs once."""
     check_polymer_budget(n, grid)
     states, g = _killed_step(n, grid.n_sites)
     log_tilt = _tilt_log_vector(states, a, b, grid.dx)
@@ -270,23 +274,31 @@ def _polymer_messages(
     tilt = np.exp(log_tilt - top)
     f0, bT = _boundary_vectors(n, grid, boundary, states)
 
-    def forward(log_v, steps):
-        return _scaled_pass(lambda v: g @ (v * tilt), log_v, steps) + steps * top
+    passes = {} if passes is None else passes
 
-    def backward(log_v, steps):
-        return _scaled_pass(lambda v: (g @ v) * tilt, log_v, steps) + steps * top
+    def half(step, log_v, steps):
+        key = (n, a, b, grid, step.__name__, steps, log_v.tobytes())
+        if key not in passes:
+            passes[key] = _scaled_pass(step, log_v, steps) + steps * top
+        return passes[key]
+
+    def forward(v):
+        return g @ (v * tilt)
+
+    def backward(v):
+        return (g @ v) * tilt
 
     rest = grid.n_steps - j
     ends = np.flatnonzero(np.isfinite(f0))
     if ends.size != 1 or not np.array_equal(f0, bT):
-        fwd, bwd = forward(f0, j), backward(bT, rest)
+        fwd, bwd = half(forward, f0, j), half(backward, bT, rest)
     else:
-        fwd = forward(f0, min(j, rest))
+        fwd = half(forward, f0, min(j, rest))
         bwd = log_tilt + fwd - log_tilt[ends[0]]
         if j < rest:
-            bwd = backward(bwd, rest - j)
+            bwd = half(backward, bwd, rest - j)
         else:
-            fwd = forward(fwd, j - rest)
+            fwd = half(forward, fwd, j - rest)
     # a tilt spanning more than ~708 nats flushes part of itself
     if top - log_tilt.min() > -ee._LOG_TINY or _may_have_lost_mass(states, ((fwd, f0, j), (bwd, bT, rest))):
         every = slice(None)
@@ -330,10 +342,11 @@ def _time_index(grid: GridSpec, t: float) -> int:
 
 
 def polymer_marginal(
-    n: int, a: float, b: float, grid: GridSpec, boundary: BoundaryMode, t: float
+    n: int, a: float, b: float, grid: GridSpec, boundary: BoundaryMode, t: float, passes: dict | None = None
 ) -> ee.Distribution:
-    """One-time marginal of the discretized polymer at grid time t."""
-    states, fwd, bwd = _polymer_messages(n, a, b, grid, boundary, _time_index(grid, t))
+    """One-time marginal of the discretized polymer at grid time t.  Calls
+    that share a ``passes`` dict run each half pass they share once."""
+    states, fwd, bwd = _polymer_messages(n, a, b, grid, boundary, _time_index(grid, t), passes)
     return ee.Distribution(
         space=grid.space_key(n),
         log_weights=fwd + bwd,

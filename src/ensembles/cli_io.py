@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -408,11 +409,17 @@ _ROW_CELL = {int: "%d", np.int64: "%d", float: "%.17g", np.float64: "%.17g"}
 def emit_csv(header: list[str], rows: list[tuple]) -> str:
     """RFC-4180-style CSV: '.' decimal, 17 significant digits, LF endings.
     When the first row's cells are ints and floats (Python or numpy 64-bit),
-    a row of its cell types is formatted by one %-format; any other row,
-    or one holding a NaN, goes cell by cell."""
+    a row of its cell types is formatted by one %-format, and a report of
+    such rows alone by one %-format in all; any other row, or one holding
+    a NaN, goes cell by cell."""
     lines = [",".join(header)]
     kinds = tuple(map(type, rows[0])) if rows else ()
     fmt = ",".join(map(_ROW_CELL.get, kinds)) if all(t in _ROW_CELL for t in kinds) else None
+    cols = list(zip(*rows)) if fmt and set(map(len, rows)) == {len(header)} else []
+    if cols and all(set(map(type, col)) == {kind} for col, kind in zip(cols, kinds)):
+        body = "\n".join([fmt] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+        if "nan" not in body:
+            return f"{lines[0]}\n{body}\n"
     for row in rows:
         if len(row) != len(header):
             raise ValueError("row length does not match header")
@@ -437,11 +444,11 @@ def _run_exact(cfg: RunConfig, threads: int, seed: int):
     if t is None:
         t = (spec.m_left + spec.n_right) // 2
     dist = ee.marginal_from_messages(res, t)
-    if np.isfinite(res.log_z):
-        consistency = max(
-            abs(float(logsumexp(res.forward[c] + res.backward[c])) - res.log_z)
-            for c in range(spec.width)
-        )
+    if np.isfinite(res.log_z):  # columns in chunks of at most 2^15 entries; a row sums as the column alone
+        w = max(2**15 // res.states.size, 1)
+        chunks = (slice(c, c + w) for c in range(0, spec.width, w))
+        sums = (logsumexp(res.forward[c] + res.backward[c], axis=1, overwrite=True) for c in chunks)
+        consistency = max(float(np.abs(s - res.log_z).max()) for s in sums)
     else:
         consistency = 0.0
     payload = {
@@ -453,7 +460,8 @@ def _run_exact(cfg: RunConfig, threads: int, seed: int):
         "x_max": spec.x_max,
     }
     header = [f"x{i+1}" for i in range(spec.n)] + ["prob"]
-    rows = [tuple(s) + (p,) for s, p in zip(res.states.arr.tolist(), dist.probs) if p > 0.0]
+    keep = dist.probs > 0.0
+    rows = list(zip(*res.states.arr[keep].T.tolist(), dist.probs[keep].tolist()))
     return payload, {"marginal": (header, rows)}, None
 
 
@@ -541,13 +549,11 @@ def _run_dominance(cfg: RunConfig, threads: int, seed: int):
     a, b = cfg["model.a"], cfg["model.b"]
     cap = cfg["oracle.height_cap"] or bo.default_height_cap(a, n) + max(cfg["dominance.u_raised"])
     grid = bo.GridSpec(dx=cfg["oracle.dx"], height_cap=cap, m_half=cfg["oracle.m"])
-    z = bo.polymer_marginal(n, a, b, grid, bo.ZeroBC(), 0.0)
-    fr = bo.free_marginal(n, a, b, grid, bo.FreeRight(), 0.0)
-    fb = bo.free_marginal(n, a, b, grid, bo.FreeBoth(), 0.0)
-    low = bo.polymer_marginal(n, a, b, grid, bo.Fixed(u=cfg["dominance.u"], v=cfg["dominance.u"]), 0.0)
-    hi = bo.polymer_marginal(
-        n, a, b, grid, bo.Fixed(u=cfg["dominance.u_raised"], v=cfg["dominance.u_raised"]), 0.0
-    )
+    u, u_hi = cfg["dominance.u"], cfg["dominance.u_raised"]
+    modes = (bo.ZeroBC(), bo.FreeRight(), bo.FreeBoth(), bo.Fixed(u=u, v=u), bo.Fixed(u=u_hi, v=u_hi))
+    passes = {}  # ZeroBC and FreeRight share a forward half pass, FreeRight and FreeBoth a backward one
+    z, fr, fb, low, hi = [bo.polymer_marginal(n, a, b, grid, mode, 0.0, passes) for mode in modes]
+    del passes
     comparisons = [
         ("zero_vs_freeright", z, fr),
         ("freeright_vs_freeboth", fr, fb),

@@ -20,7 +20,6 @@ the samplers' candidates.  A ``TransferStep`` is a chamber and a tilt.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import warnings
@@ -145,9 +144,11 @@ class StateSpace:
 def enumerate_states(n: int, x_max: int, max_states: float | None = None) -> StateSpace:
     """Enumerate the truncated ordered state space.
 
-    The combinations of x_max, ..., 1 come in reverse lexicographic order
-    of the decreasing tuples, so the enumeration is read backwards.
-    Raises TooLarge when C(x_max, n) exceeds the budget.
+    Built curve by curve from the bottom: in lexicographic order, the
+    states of m curves with top x are x followed by the first C(x - 1,
+    m - 1) states of m - 1 curves, and the m-curve states that the n-curve
+    ones end in have tops at most x_max - n + m.  Raises TooLarge when
+    C(x_max, n) exceeds the budget.
     """
     if not 1 <= n <= x_max:
         raise ValueError("need 1 <= n <= x_max")
@@ -155,8 +156,12 @@ def enumerate_states(n: int, x_max: int, max_states: float | None = None) -> Sta
     budget = state_budget() if max_states is None else max_states
     if count > budget:
         raise TooLarge(f"C({x_max},{n}) = {count} states exceeds budget {budget:g}")
-    combos = itertools.combinations(range(x_max, 0, -1), n)
-    arr = np.fromiter(combos, dtype=np.dtype((np.int64, n)), count=count)[::-1].copy()
+    arr = np.arange(1, x_max - n + 2, dtype=np.int64)[:, None]
+    for m in range(2, n + 1):
+        tops = np.arange(m, x_max - n + m + 1, dtype=np.int64)
+        counts = np.array([math.comb(x - 1, m - 1) for x in tops.tolist()], dtype=np.int64)
+        below = np.arange(counts.sum()) - np.repeat(counts.cumsum() - counts, counts)
+        arr = np.column_stack((np.repeat(tops, counts), arr[below]))
     arr.flags.writeable = False
     return StateSpace(n=n, x_max=x_max, arr=arr)
 
@@ -173,32 +178,42 @@ def _curve_factors(states: StateSpace, kernel: Kernel) -> tuple[sp.csr_matrix, .
     moved curves strictly ordered in [1, x_max], and moved curve k - 1 at
     least unmoved curve k + min(offsets) + 1.  A factor row holds at most
     |offsets| entries, in increasing column id; the (rows, |offsets|)
-    tables of all factors' sources are held to the budget together."""
+    tables of all factors' sources are held to the budget together.
+
+    Keys index one table of (x_max + 1)^n entries, about n! times the
+    states, held to the budget before it is allocated: a stage's keys are
+    marked in it and read back sorted by ``np.flatnonzero``, and a row's
+    source under each offset is one lookup of its key's slot (-1 for no
+    column of the stage; key 0, all heights 0, is never one)."""
     n, x_max = states.n, states.x_max
     order = np.argsort(kernel.offsets)[::-1]  # descending, so a row's sources come in increasing key
     offs, probs = np.array(kernel.offsets)[order], np.array(kernel.probs)[order]
     place = states.key(np.eye(n, dtype=np.int64))  # the key of one unit of height on each curve
+    size = (x_max + 1) ** n
+    if size > state_budget():
+        raise TooLarge(f"key table of {size} entries exceeds budget {state_budget():g}")
+    slot, mark = np.full(size, -1, dtype=np.int32), np.zeros(size, dtype=bool)
     cur, factors, entries = states.keys, [], 0
     for k in range(n):
         nxt = states.keys
         if k < n - 1:
             here, below = cur // place[k] % (x_max + 1), cur // place[k + 1] % (x_max + 1) + offs[-1]
             above = cur // place[k - 1] % (x_max + 1) if k else x_max + 1
-            ok = [(here + d >= 1) & (here + d < above) & (here + d > below) for d in offs]
-            nxt = np.concatenate([cur[m] + d * place[k] for m, d in zip(ok, offs)])
-            nxt.sort()  # in place, and faster than np.unique
-            nxt = nxt[np.insert(nxt[1:] != nxt[:-1], 0, True)]
-            del here, below, above, ok
+            for d in offs:
+                mark[cur[(here + d >= 1) & (here + d < above) & (here + d > below)] + d * place[k]] = True
+            nxt = np.flatnonzero(mark)
+            mark[nxt] = False
+            del here, below, above
         entries += nxt.size * offs.size
         if entries > state_budget():
             raise TooLarge(f"one-curve factors with {entries} table entries exceed budget {state_budget():g}")
         src = np.empty((nxt.size, offs.size), dtype=np.int32)
-        valid = np.empty(src.shape, dtype=bool)
         moved = nxt // place[k] % (x_max + 1)
-        for j, d in enumerate(offs):  # one column at a time: the table is the one large array
-            key = nxt - d * place[k]
-            src[:, j] = np.searchsorted(cur, key).clip(max=cur.size - 1)
-            valid[:, j] = (moved - d >= 1) & (moved - d <= x_max) & (cur[src[:, j]] == key)
+        slot[cur] = np.arange(cur.size, dtype=np.int32)
+        for j, d in enumerate(offs):  # one column at a time: src is the one (rows, |offsets|) array
+            src[:, j] = slot[np.where((moved - d >= 1) & (moved - d <= x_max), nxt - d * place[k], 0)]
+        slot[cur] = -1
+        valid = src >= 0
         indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1)))).astype(np.int32)
         data = np.broadcast_to(probs, src.shape)[valid]
         factors.append(sp.csr_matrix((data, src[valid], indptr), shape=(nxt.size, cur.size)))

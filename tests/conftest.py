@@ -133,6 +133,49 @@ def brute_law(spec, kernel, a, b, lam, times):
     return {k: w / total for k, w in acc.items()}
 
 
+def combination_states(n: int, x_max: int) -> np.ndarray:
+    """Reference enumeration: the combinations of x_max, ..., 1 come in
+    reverse lexicographic order of the decreasing tuples, read backwards."""
+    import itertools
+
+    combos = itertools.combinations(range(x_max, 0, -1), n)
+    return np.fromiter(combos, dtype=np.dtype((np.int64, n)), count=math.comb(x_max, n))[::-1].copy()
+
+
+def searched_curve_factors(states, kernel: mc.Kernel):
+    """Reference one-curve factors, built as ``exact_engine._curve_factors``
+    documents them, with each stage's keys sorted and made unique and each
+    row's sources found by binary search in the stage before.  A stage
+    may be empty: in a one-state chamber whose state cannot move."""
+    import scipy.sparse as sp
+
+    n, x_max = states.n, states.x_max
+    order = np.argsort(kernel.offsets)[::-1]
+    offs, probs = np.array(kernel.offsets)[order], np.array(kernel.probs)[order]
+    place = states.key(np.eye(n, dtype=np.int64))
+    cur, factors = states.keys, []
+    for k in range(n):
+        nxt = states.keys
+        if k < n - 1:
+            here, below = cur // place[k] % (x_max + 1), cur // place[k + 1] % (x_max + 1) + offs[-1]
+            above = cur // place[k - 1] % (x_max + 1) if k else x_max + 1
+            ok = [(here + d >= 1) & (here + d < above) & (here + d > below) for d in offs]
+            nxt = np.unique(np.concatenate([cur[m] + d * place[k] for m, d in zip(ok, offs)]))
+        src = np.empty((nxt.size, offs.size), dtype=np.int32)
+        valid = np.empty(src.shape, dtype=bool)
+        moved = nxt // place[k] % (x_max + 1)
+        padded = np.append(cur, -1)  # a key past the last column, or any key of an empty stage, finds -1
+        for j, d in enumerate(offs):
+            key = nxt - d * place[k]
+            src[:, j] = np.searchsorted(cur, key)
+            valid[:, j] = (moved - d >= 1) & (moved - d <= x_max) & (padded[src[:, j]] == key)
+        indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1)))).astype(np.int32)
+        data = np.broadcast_to(probs, src.shape)[valid]
+        factors.append(sp.csr_matrix((data, src[valid], indptr), shape=(nxt.size, cur.size)))
+        cur = nxt
+    return tuple(factors)
+
+
 def rng_instances(seed: int):
     return np.random.default_rng(seed)
 

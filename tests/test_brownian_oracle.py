@@ -77,8 +77,9 @@ class TestKilledStep:
         assert built == [190]
 
     def test_factors_over_budget_raise_before_any_matvec(self, monkeypatch):
-        # C(40, 2) = 780 states fit a budget of 1000; 13 taps x (stage-1 + 780) rows do not
-        monkeypatch.setenv("ENSEMBLES_BUDGET", "1000")
+        # C(40, 2) = 780 states and the 41^2 = 1681-entry key table fit a budget of 5000;
+        # 13 taps x (stage-1 + 780) rows do not
+        monkeypatch.setenv("ENSEMBLES_BUDGET", "5000")
         applied = []
         monkeypatch.setattr(ee._Chain, "__matmul__", lambda chain, v: applied.append(v))
         grid = bo.GridSpec(dx=0.25, height_cap=10.0, m_half=0.25)
@@ -260,6 +261,25 @@ class TestHalfPasses:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    @pytest.mark.parametrize("t", [0.0, -0.25, 0.5])
+    def test_shared_passes_give_each_mode_its_own_law(self, t, monkeypatch):
+        # the laws of all five modes, and of two mirrored Fixed ones, from one dict of half passes:
+        # "walk" (free right end), FreeRight and FreeBoth run one backward half of n_steps - j steps;
+        # FreeRight reuses ZeroBC's forward half of j steps, and "bridge" that of Fixed(u, u) from the
+        # same u, which at these times (j <= n_steps - j, or n_steps - j = 0) mirror a j-step forward
+        grid = self.GRID
+        modes = [*self.MODES.values(), bo.Fixed(u=(1.0, 0.5), v=(1.0, 0.5)), bo.Fixed(u=(2.0, 1.5), v=(2.0, 1.5))]
+        steps, scaled = [], bo._scaled_pass
+        monkeypatch.setattr(bo, "_scaled_pass", lambda step, v, k: steps.append(k) or scaled(step, v, k))
+        alone = [bo.polymer_marginal(2, 1.0, 2.0, grid, mode, t) for mode in modes]
+        alone_steps, passes = sum(steps), {}
+        steps.clear()
+        shared = [bo.polymer_marginal(2, 1.0, 2.0, grid, mode, t, passes) for mode in modes]
+        for one, other in zip(alone, shared):
+            assert one.log_weights.tobytes() == other.log_weights.tobytes()
+        # two backward halves of n_steps - j steps and two forward halves of j steps are not run again
+        assert len(steps) == len(passes) and sum(steps) == alone_steps - 2 * grid.n_steps
 
 
 class TestMirroredHalfPass:

@@ -14,6 +14,7 @@ from ensembles import analysis as an
 from ensembles import brownian_oracle as bo
 from ensembles import cli_io as cio
 from ensembles import exact_engine as ee
+from ensembles._linalg import logsumexp
 
 # child interpreters import the package this process imported, also when
 # pytest put it on the path itself
@@ -229,6 +230,64 @@ class TestEmitCsv:
         with pytest.raises(ValueError, match="NaN"):
             cio.emit_csv(header, rows[:1] + [(1, np.int64(2), float("nan"), np.float64(0.0))])
 
+    @staticmethod
+    def per_cell(header, rows):
+        return "\n".join([",".join(header)] + [",".join(cio._fmt_cell(v) for v in r) for r in rows]) + "\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(3, 1, 0.25), (4, 1, 1.0 / 3.0), (4, 3, -0.0), (5, 2, 1e-300), (7, 1, float("inf"))],
+            [(np.int64(2), np.float64(0.1)), (np.int64(-5), np.float64(-1e300)), (np.int64(0), np.float64(0.0))],
+            [("zero_vs_freeright", True, 0.0, 1.4), ("fixed_vs_raised", np.bool_(False), 1e-17, 2.2)],
+            [(1, 0.5)],
+            [(1, 0.5), (np.int64(2), 0.25), (3, np.float64(0.125))],  # one cell type differs by row
+        ],
+        ids=["python", "numpy", "mixed", "single", "switching"],
+    )
+    def test_report_matches_per_cell_format(self, rows):
+        header = ["c%d" % i for i in range(len(rows[0]))]
+        assert cio.emit_csv(header, rows) == self.per_cell(header, rows)
+
+    def test_nan_in_a_uniform_report_is_an_error(self):
+        rows = [(i, 1.0 / (i + 1)) for i in range(50)] + [(50, float("nan"))]
+        with pytest.raises(ValueError, match="NaN"):
+            cio.emit_csv(["k", "p"], rows)
+        with pytest.raises(ValueError, match="NaN"):
+            cio.emit_csv(["k", "p"], [(np.int64(1), np.float64("nan"))])
+
+    def test_row_length_mismatch_is_an_error(self):
+        for rows in ([(1, 0.5, 2.0)], [(1, 0.5), (2, 0.5, 1.0)], [(1,)]):
+            with pytest.raises(ValueError, match="row length"):
+                cio.emit_csv(["k", "p"], rows)
+
+
+class TestExactConsistency:
+    """The exact experiment checks its columns in chunks; the reported
+    maximum equals the per-column one bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n,boundary,m,x_max",
+        [
+            (2, "boundary.kind = bridge\nboundary.u = 3,1\nboundary.v = 3,1\n", 20, 16),
+            (3, "boundary.kind = walk\nboundary.u = 3,2,1\n", 17, 18),
+        ],
+        ids=["n2-bridge", "n3-walk"],
+    )
+    def test_consistency_is_the_per_column_maximum(self, n, boundary, m, x_max):
+        cfg = cio.parse_config(
+            f"experiment = exact\nkernel.preset = unit\nmodel.n = {n}\nmodel.a = 1.0\nmodel.b = 2.0\n"
+            f"model.lambda = 0.5\nwindow.m_left = {-m}\nwindow.n_right = {m}\n{boundary}engine.x_max = {x_max}\n"
+        )
+        payload = cio._run_exact(cfg, 1, 0)[0]
+        spec = cio.build_spec(cfg)
+        res = ee.ensemble_messages(spec, cio.build_kernel(cfg), cio.build_tilt(cfg))
+        assert spec.width == 2 * m + 1 > 32 and np.isfinite(res.log_z)
+        per_column = max(
+            abs(float(logsumexp(res.forward[c] + res.backward[c])) - res.log_z) for c in range(spec.width)
+        )
+        assert payload["consistency_max_abs"] == per_column
+
 
 class TestRun:
     def test_exact_writes_envelope_and_curves(self, tmp_path):
@@ -419,6 +478,15 @@ class TestChamberBuiltOnce:
         text = text.replace("mixing.k_list = 1,2,3,4", "mixing.k_list = 1,2,3,4,5,6")
         cio.run(cio.parse_config(text.replace("mixing.window_delta = 1\n", "")), tmp_path)
         assert built == [(2, 16)]
+
+    def test_dominance_shares_its_half_passes(self, tmp_path, monkeypatch):
+        # the bench's dominance-n2 grid, 25 steps: ZeroBC and FreeRight share their forward 12 steps,
+        # FreeRight and FreeBoth their backward 13, so 89 steps come down to 64
+        steps, scaled = [], bo._scaled_pass
+        monkeypatch.setattr(bo, "_scaled_pass", lambda step, v, k: steps.append(k) or scaled(step, v, k))
+        text = DOMINANCE_CFG.replace("oracle.dx = 0.25", "oracle.dx = 0.2")
+        cio.run(cio.parse_config(text + "model.lambda = 0.4\n"), tmp_path)
+        assert sum(steps) == 64 and len(steps) == 8
 
     def test_dominance_walk_side_builds_two_chambers(self, tmp_path, monkeypatch):
         # the bench's dominance-n2 op: five polymer marginals on one grid, four lattice marginals on one cap

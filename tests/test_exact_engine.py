@@ -10,7 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_law, brute_partition, chi_square_p, hand_area, iter_paths
+from conftest import (
+    brute_law,
+    brute_partition,
+    chi_square_p,
+    combination_states,
+    hand_area,
+    iter_paths,
+    searched_curve_factors,
+)
 from ensembles import brownian_oracle as bo
 from ensembles import exact_engine as ee
 from ensembles import gibbs_sampler as gs
@@ -51,7 +59,9 @@ class TestStateSpace:
         assert s.arr.tolist() == [[2, 1], [3, 1], [3, 2], [4, 1], [4, 2], [4, 3]]
         assert [s.id_of(t) for t in s.arr] == list(range(6))
 
-    @pytest.mark.parametrize("n,x_max", [(1, 1), (1, 7), (2, 2), (2, 9), (3, 3), (3, 10), (4, 4), (4, 11)])
+    @pytest.mark.parametrize(
+        "n,x_max", [(1, 1), (1, 7), (2, 2), (2, 9), (3, 3), (3, 10), (4, 4), (4, 11), (5, 5), (5, 12), (6, 6), (6, 13)]
+    )
     def test_enumeration_matches_sorted_tuples(self, n, x_max):
         reference = sorted(tuple(reversed(c)) for c in itertools.combinations(range(1, x_max + 1), n))
         s = ee.enumerate_states(n, x_max)
@@ -245,6 +255,68 @@ class TestStepMatrix:
         states = ee.enumerate_states(2, 4)
         with pytest.raises(ValueError):
             states.id_of((1, 2))
+
+
+BUILD_KERNELS = {
+    "srw": mc.simple_walk,
+    "lazy": mc.lazy_walk,
+    "unit": mc.unit_walk,
+    "stencil": bo._stencil_kernel,
+    "period2": lambda: mc.make_kernel((-3, -1, 1, 3), (0.1, 0.4, 0.4, 0.1)),
+    "asymmetric": lambda: mc.make_kernel((-2, 1), (1 / 3, 2 / 3)),  # mean zero, period 3
+}
+
+
+class TestKeyTableBuild:
+    """The chamber is built from a key table: the enumeration by prefixes
+    and the factors by table lookups equal the itertools enumeration and
+    the search-based build (``conftest``) array for array."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kernel", sorted(BUILD_KERNELS))
+    def test_factors_match_search_reference(self, kernel, n):
+        kern = BUILD_KERNELS[kernel]()
+        for x_max in range(n, n + 13):
+            states = ee.enumerate_states(n, x_max)
+            assert states.arr.flags.c_contiguous and np.array_equal(states.arr, combination_states(n, x_max))
+            got, ref = ee._curve_factors(states, kern), searched_curve_factors(states, kern)
+            assert len(got) == len(ref) == n
+            for f, r in zip(got, ref):
+                assert f.shape == r.shape
+                for name in ("indptr", "indices", "data"):
+                    a, b = getattr(f, name), getattr(r, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (x_max, name)
+
+    def test_one_state_chamber_that_cannot_move(self):
+        # every move of (2, 1) under steps -2, +1 leaves the chamber: the middle stage is empty
+        factors = ee._curve_factors(ee.enumerate_states(2, 2), BUILD_KERNELS["asymmetric"]())
+        assert [f.shape for f in factors] == [(0, 1), (1, 0)] and all(f.nnz == 0 for f in factors)
+
+    def test_key_table_is_held_to_the_budget_before_allocation(self, monkeypatch):
+        srw = mc.simple_walk()
+        states = ee.enumerate_states(5, 20)  # S = 15504; the key table has 21^5 = 4084101 entries
+        entries = sum(f.shape[0] * len(srw.offsets) for f in ee._curve_factors(states, srw))
+        assert entries < 1e6 < 21**5
+        monkeypatch.setenv("ENSEMBLES_BUDGET", "1e6")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ee.TooLarge, match="key table of 4084101 entries"):
+                ee.chamber(5, 20, srw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 21**5  # the int32 table alone takes four times this
+
+    def test_five_curves_at_cap_24_build_under_the_default_budget(self, unit):
+        built = ee.chamber(5, 24, unit)  # a key table of 25^5 = 9765625 entries
+        assert built.states.size == math.comb(24, 5) and built.forward[-1].shape[0] == built.states.size
+
+    def test_stencil_chamber_build_runs_no_binary_search(self, monkeypatch):
+        # the oracle's n = 2 chamber at 190 sites; the search-based build made 26 searches
+        calls, search = [], np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(1) or search(*a, **k))
+        killed = ee.chamber(2, 190, bo._stencil_kernel())
+        assert killed.states.size == 17955 and calls == []
 
 
 class TestPartitions:
