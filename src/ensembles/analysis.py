@@ -569,7 +569,7 @@ def log_partition_slope(
         x_max = default_x_max(tilt.potential.lam, u[0])
     halves = [max(int(round(scale.h_big**2 * t_cont)), 1) for t_cont in sorted(float(t) for t in t_list)]
     spec = EnsembleSpec(n=n, m_left=0, n_right=2 * max(halves), boundary=Walk(u=u), x_max=x_max)
-    forward = ee.partition_walk(spec, kernel, tilt).forward
+    forward = ee.ensemble_messages(spec, kernel, tilt).forward
     # a walk's log Z over [0, 2 half] sums the forward message at 2 half;
     # the realized window, half * h^2, is what log Z actually scales with
     pts = [(half * scale.h_small**2, float(logsumexp(forward[2 * half]))) for half in halves]

@@ -354,13 +354,6 @@ def polymer_marginal(
     )
 
 
-def free_marginal(n: int, a: float, b: float, grid: GridSpec, mode, t: float) -> ee.Distribution:
-    """Marginal under a free boundary mode (FreeRight or FreeBoth)."""
-    if not isinstance(mode, (FreeRight, FreeBoth)):
-        raise TypeError("mode must be FreeRight or FreeBoth")
-    return polymer_marginal(n, a, b, grid, mode, t)
-
-
 def zero_bc_extrapolate(n: int, a: float, b: float, grid: GridSpec) -> PolymerLaw:
     """Zero-boundary law as the smallest-epsilon member of a contracting
     family Fixed(eps * w), with Cauchy and direction-independence

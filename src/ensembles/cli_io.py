@@ -471,7 +471,7 @@ def _run_sample(cfg: RunConfig, threads: int, seed: int):
     spec = build_spec(cfg)
     samples, diags = gs.sample_paths(spec, kernel, tilt, build_mcmc_params(cfg, seed))
     t_center = (spec.m_left + spec.n_right) // 2
-    centre = np.array([s.heights[:, spec.col(t_center)] for s in samples]).reshape(-1, spec.n)
+    centre = samples.heights[:, :, spec.col(t_center)]
     header = [f"x{i+1}" for i in range(spec.n)] + ["count", "freq"]
     total = max(len(samples), 1)
     rows = [

@@ -37,10 +37,9 @@ from .model_core import (
     Bridge,
     EnsembleSpec,
     Kernel,
-    PathConfig,
+    PathBatch,
     TiltSpec,
     Walk,
-    path_configs,
 )
 
 DEFAULT_BUDGET = 5e7
@@ -543,20 +542,6 @@ def ensemble_messages(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec) -> Tra
     return res
 
 
-def partition_bridge(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec) -> TransferResult:
-    """Unnormalized tilted mass of the free product walk from u pinned to v."""
-    if not isinstance(spec.boundary, Bridge):
-        raise ValueError("partition_bridge needs a Bridge boundary")
-    return ensemble_messages(spec, kernel, tilt)
-
-
-def partition_walk(spec: EnsembleSpec, kernel: Kernel, tilt: TiltSpec) -> TransferResult:
-    """Unnormalized tilted mass of the free product walk from u (free right end)."""
-    if not isinstance(spec.boundary, Walk):
-        raise ValueError("partition_walk needs a Walk boundary")
-    return ensemble_messages(spec, kernel, tilt)
-
-
 # ---------------------------------------------------------------------------
 # laws
 
@@ -840,7 +825,7 @@ def exact_sample(
     tilt: TiltSpec,
     seed: int,
     count: int,
-) -> list[PathConfig]:
+) -> PathBatch:
     """i.i.d. exact samples by forward filtering / backward sampling.
 
     All samples are drawn together, one batched backward step per time,
@@ -866,11 +851,11 @@ def exact_sample(
     the near band, so no cutoff warning fires on either space.
     """
     if count == 0:
-        return []
+        return PathBatch(np.zeros((0, spec.n, spec.width), dtype=np.int64), spec)
     us = spawned_uniforms(seed, count, sample_draws(spec))  # a bad count raises before any work
     cap = _reach(spec, kernel)
     if cap < spec.x_max - CUTOFF_NEAR:
         res = _compute_messages(replace(spec, x_max=cap), kernel, tilt)
     else:
         res = ensemble_messages(spec, kernel, tilt)
-    return path_configs(sample_heights(res, us), spec)
+    return PathBatch(sample_heights(res, us), spec)

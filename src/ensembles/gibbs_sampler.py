@@ -41,10 +41,10 @@ from .model_core import (
     Bridge,
     EnsembleSpec,
     Kernel,
+    PathBatch,
     PathConfig,
     TiltSpec,
     Walk,
-    path_configs,
 )
 
 _SWEEP_CHUNK = 64  # sweeps of uniforms a chain draws per generator call
@@ -488,7 +488,7 @@ def sample_paths(
     kernel: Kernel,
     tilt: TiltSpec,
     params: McmcParams,
-) -> tuple[list[PathConfig], ChainDiagnostics]:
+) -> tuple[PathBatch, ChainDiagnostics]:
     """Thinned post-burn-in samples from params.chains independent chains,
     with autocorrelation diagnostics on the center height and total area."""
     blocks = _blocks_schedule(spec, params)
@@ -518,7 +518,7 @@ def sample_paths(
             v = tilt.potential.value(heights[:, :, :-1].astype(float))
             area[j] = np.einsum("rnt,n->r", v, curve_w)
     elapsed = time.perf_counter() - t0
-    samples = path_configs(kept.reshape((-1,) + heights.shape[1:]), spec)
+    samples = PathBatch(kept.reshape((-1,) + heights.shape[1:]), spec)
 
     tau: dict = {"x1_center": None, "area": None}
     ess: dict = {"x1_center": None, "area": None}

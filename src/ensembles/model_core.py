@@ -1,6 +1,6 @@
 """Core model objects: step kernels, the linear potential V(x) = lambda*x
-and its area tilts, ensemble windows, path configurations, and the
-diffusive rescaling at H = lambda^(-1/3).
+and its area tilts, ensemble windows, path configurations and their
+batches, and the diffusive rescaling at H = lambda^(-1/3).
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
@@ -9,6 +9,7 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -236,7 +237,10 @@ class PathConfig:
     spec: EnsembleSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "heights", _checked_heights(self.heights, self.spec, batch=False))
+        h = np.asarray(self.heights, dtype=np.int64)
+        _checked_heights(h[None], self.spec)  # checked as a batch of one
+        h.flags.writeable = False
+        object.__setattr__(self, "heights", h)
 
     def column(self, t: int) -> tuple[int, ...]:
         return tuple(self.heights[:, self.spec.col(t)])
@@ -245,15 +249,14 @@ class PathConfig:
         return PathConfig(heights=heights, spec=self.spec)
 
 
-def _checked_heights(heights, spec: EnsembleSpec, batch: bool) -> np.ndarray:
-    """One (n, width) height matrix, or a batch of them stacked on a
-    leading axis, as a read-only int64 array (the input itself when it is
-    one) after PathConfig's checks; each check runs once over the whole
-    batch and raises as for one path."""
+def _checked_heights(heights, spec: EnsembleSpec) -> np.ndarray:
+    """A batch of (n, width) height matrices stacked on a leading axis, as
+    a read-only int64 array (the input itself when it is one) after
+    PathConfig's checks; each check runs once over the whole batch and
+    raises as for one path."""
     h = np.asarray(heights, dtype=np.int64)
-    shape = h.shape[1:] if batch else h.shape
-    if shape != (spec.n, spec.width):
-        raise ValueError(f"heights shape {shape} != (n, width) = ({spec.n}, {spec.width})")
+    if h.shape[1:] != (spec.n, spec.width):
+        raise ValueError(f"heights shape {h.shape[1:]} != (n, width) = ({spec.n}, {spec.width})")
     if np.any(h < 0):
         raise ValueError("heights must be nonnegative")
     b = spec.boundary
@@ -265,18 +268,36 @@ def _checked_heights(heights, spec: EnsembleSpec, batch: bool) -> np.ndarray:
     return h
 
 
-def path_configs(heights: np.ndarray, spec: EnsembleSpec) -> list[PathConfig]:
-    """PathConfigs of a (count, n, width) batch of height matrices, checked
-    once for the batch; each path's heights are a read-only view of the
-    batch's int64 array."""
-    h = _checked_heights(heights, spec, batch=True)
-    out = []
-    for row in h:
+@dataclass(frozen=True, eq=False)  # batches compare by identity, never elementwise
+class PathBatch(abc.Sequence):
+    """Drawn paths of one ensemble window: read-only (count, n, width)
+    int64 heights, checked once when the batch is built.  Item i is the
+    PathConfig of path i, a view of its row; a slice is a list of them."""
+
+    heights: np.ndarray
+    spec: EnsembleSpec
+
+    def __post_init__(self):
+        object.__setattr__(self, "heights", _checked_heights(self.heights, self.spec))
+
+    def __len__(self) -> int:
+        return len(self.heights)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._path, self.heights[i]))
+        return self._path(self.heights[i])
+
+    def __iter__(self):
+        return map(self._path, self.heights)
+
+    def _path(self, row: np.ndarray) -> PathConfig:
+        # The row already passed PathConfig's checks with its batch and is
+        # read-only, so the view skips the constructor's second check.
         path = object.__new__(PathConfig)
         object.__setattr__(path, "heights", row)
-        object.__setattr__(path, "spec", spec)
-        out.append(path)
-    return out
+        object.__setattr__(path, "spec", self.spec)
+        return path
 
 
 @dataclass(frozen=True)

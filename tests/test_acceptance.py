@@ -85,7 +85,7 @@ def test_02_exact_sampler_fidelity():
     )
     samples = ee.exact_sample(spec, kernel, tilt, seed=42, count=100_000)
     res = ee.ensemble_messages(spec, kernel, tilt)
-    ids = res.states.ids(np.stack([s.heights for s in samples]).transpose(0, 2, 1))  # (count, width)
+    ids = res.states.ids(samples.heights.transpose(0, 2, 1))  # (count, width)
     p_min = 1.0
     for t in spec.times:
         counts = np.bincount(ids[:, spec.col(t)], minlength=res.states.size)
@@ -205,8 +205,8 @@ def test_07_dominance_and_sandwich():
     for n, dx, cap in ((1, 0.1, 12.0), (2, 0.2, 8.0)):
         grid = bo.GridSpec(dx=dx, height_cap=cap, m_half=2.0)
         z = bo.polymer_marginal(n, 1.0, 2.0, grid, bo.ZeroBC(), 0.0)
-        fr = bo.free_marginal(n, 1.0, 2.0, grid, bo.FreeRight(), 0.0)
-        fb = bo.free_marginal(n, 1.0, 2.0, grid, bo.FreeBoth(), 0.0)
+        fr = bo.polymer_marginal(n, 1.0, 2.0, grid, bo.FreeRight(), 0.0)
+        fb = bo.polymer_marginal(n, 1.0, 2.0, grid, bo.FreeBoth(), 0.0)
         violations.append(float(np.max(cdf(fr) - cdf(z))))
         violations.append(float(np.max(cdf(fb) - cdf(fr))))
         u = tuple(0.5 * (n - i) + 0.5 for i in range(n))

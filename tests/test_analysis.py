@@ -393,7 +393,7 @@ class TestSlope:
             half = max(int(round(scale.h_big**2 * t_cont)), 1)
             spec = mc.EnsembleSpec(n=n, m_left=0, n_right=2 * half, boundary=mc.Walk(u=u), x_max=x_max)
             assert t_real == half * scale.h_small**2
-            assert log_z == ee.partition_walk(spec, unit, tilt).log_z
+            assert log_z == ee.ensemble_messages(spec, unit, tilt).log_z
 
     def test_boundary_above_eta_rejected(self, unit):
         with pytest.raises(ValueError):

@@ -431,7 +431,7 @@ class TestStationaryDensity:
     def test_free_both_large_time_matches_stationary(self):
         grid = bo.GridSpec(dx=0.1, height_cap=12.0, m_half=4.0)
         st = bo.stationary_density(1, 1.0, 2.0, grid)
-        d = bo.free_marginal(1, 1.0, 2.0, grid, bo.FreeBoth(), 0.0)
+        d = bo.polymer_marginal(1, 1.0, 2.0, grid, bo.FreeBoth(), 0.0)
         assert 0.5 * np.abs(d.probs - st.probs).sum() <= 0.02
 
     def test_matches_dense_eigh(self):
@@ -465,11 +465,6 @@ class TestStationaryDensity:
 
 
 class TestFreeMarginal:
-    def test_mode_type_checked(self):
-        grid = bo.GridSpec(dx=0.2, height_cap=6.0, m_half=1.0)
-        with pytest.raises(TypeError):
-            bo.free_marginal(1, 1.0, 2.0, grid, bo.ZeroBC(), 0.0)
-
     def test_tower_property(self):
         # FreeBoth at t=0 equals the rho-mixture of normalized
         # FreeRight-from-s laws, rho the FreeBoth marginal at -M
@@ -494,8 +489,8 @@ class TestFreeMarginal:
         for n, dx, cap in ((1, 0.1, 10.0), (2, 0.2, 8.0)):
             grid = bo.GridSpec(dx=dx, height_cap=cap, m_half=1.5)
             z = bo.polymer_marginal(n, 1.0, 2.0, grid, bo.ZeroBC(), 0.0)
-            fr = bo.free_marginal(n, 1.0, 2.0, grid, bo.FreeRight(), 0.0)
-            fb = bo.free_marginal(n, 1.0, 2.0, grid, bo.FreeBoth(), 0.0)
+            fr = bo.polymer_marginal(n, 1.0, 2.0, grid, bo.FreeRight(), 0.0)
+            fb = bo.polymer_marginal(n, 1.0, 2.0, grid, bo.FreeBoth(), 0.0)
             assert np.max(cdf_top(fr) - cdf_top(z)) <= 0.0
             assert np.max(cdf_top(fb) - cdf_top(fr)) <= 0.0
 

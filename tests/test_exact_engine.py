@@ -322,7 +322,7 @@ class TestKeyTableBuild:
 class TestPartitions:
     def test_bridge_unique_path(self, srw):
         spec = bridge_spec(1, 0, 2, (1,), (1,), x_max=10)
-        res = ee.partition_bridge(spec, srw, tilt_of())
+        res = ee.ensemble_messages(spec, srw, tilt_of())
         expected = 0.25 * math.exp(-3.0)
         assert res.log_z == pytest.approx(math.log(expected), abs=1e-12)
         assert math.exp(res.log_z) == pytest.approx(
@@ -332,23 +332,23 @@ class TestPartitions:
     def test_bridge_parity_infeasible(self, srw):
         spec = bridge_spec(1, 0, 2, (1,), (2,), x_max=10)
         with pytest.raises(ee.ParityInfeasible):
-            ee.partition_bridge(spec, srw, tilt_of())
+            ee.ensemble_messages(spec, srw, tilt_of())
 
     def test_bridge_vanishing_tilt(self, srw):
         spec = bridge_spec(1, 0, 2, (1,), (1,), x_max=10)
-        res = ee.partition_bridge(spec, srw, tilt_of(a=1e-12))
+        res = ee.ensemble_messages(spec, srw, tilt_of(a=1e-12))
         assert res.log_z == pytest.approx(math.log(0.25), abs=1e-9)
 
     def test_walk_single_step_lazy(self, lazy):
         spec = walk_spec(1, 0, 1, (1,), x_max=10)
-        res = ee.partition_walk(spec, lazy, tilt_of())
+        res = ee.ensemble_messages(spec, lazy, tilt_of())
         assert res.log_z == pytest.approx(math.log(0.75) - 1.0, abs=1e-12)
 
     def test_walk_matches_brute_force(self, lazy):
         spec = walk_spec(2, 0, 4, (3, 1), x_max=6)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ee.CutoffDominatedWarning)
-            res = ee.partition_walk(spec, lazy, tilt_of(a=0.7, b=1.5, lam=0.9))
+            res = ee.ensemble_messages(spec, lazy, tilt_of(a=0.7, b=1.5, lam=0.9))
         assert math.exp(res.log_z) == pytest.approx(
             brute_partition(spec, lazy, 0.7, 1.5, 0.9), rel=1e-12
         )
@@ -357,7 +357,7 @@ class TestPartitions:
         # vanishing tilt, generous cutoff: Z approaches the probability that
         # the free ordered pair stays admissible; 1e6 paths, 3 sigma
         spec = walk_spec(2, 0, 4, (4, 2), x_max=60)
-        res = ee.partition_walk(spec, unit, tilt_of(a=1e-13))
+        res = ee.ensemble_messages(spec, unit, tilt_of(a=1e-13))
         p_exact = math.exp(res.log_z)
         rng = np.random.default_rng(2024)
         n_mc = 1_000_000
@@ -375,7 +375,7 @@ class TestPartitions:
     def test_cutoff_warning_at_blocked_top(self, srw):
         spec = walk_spec(1, 0, 2, (3,), x_max=3)
         with pytest.warns(ee.CutoffDominatedWarning):
-            res = ee.partition_walk(spec, srw, tilt_of())
+            res = ee.ensemble_messages(spec, srw, tilt_of())
         assert res.cutoff_warning
 
 
@@ -491,6 +491,20 @@ def law_cases(draw, kernels=PRESET_KERNELS):
     return kernel, n, x_max, width, u, times, tilt, bridge, draw(st.integers(0, 10**6))
 
 
+@st.composite
+def three_curve_law_cases(draw):
+    """``law_cases`` for three curves, x_max <= 5 and at most 4 steps,
+    which keeps a path enumeration to about 10^4 paths."""
+    kernel = draw(PRESET_KERNELS)
+    x_max = draw(st.integers(4, 5))
+    times = sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)))
+    width = draw(st.integers(max(times[-1], 1), 4))
+    chamber = sorted(tuple(reversed(c)) for c in itertools.combinations(range(1, x_max + 1), 3))
+    u = draw(st.sampled_from(chamber))
+    tilt = (draw(st.floats(0.2, 2.0)), draw(st.floats(1.1, 3.0)), draw(st.floats(0.2, 1.0)))
+    return kernel, 3, x_max, width, u, times, tilt, draw(st.booleans()), draw(st.integers(0, 10**6))
+
+
 class TestLawProperties:
     """Product and conditional laws against the brute-force path sum."""
 
@@ -531,6 +545,13 @@ class TestLawProperties:
     @given(law_cases(random_kernels()))
     def test_random_kernel_laws_match_brute_force(self, case):
         # the preset test's checks, run on symmetric kernels with random weights
+        type(self).test_laws_match_brute_force.hypothesis.inner_test(self, case)
+
+    @pytest.mark.filterwarnings("ignore::ensembles.exact_engine.CutoffDominatedWarning")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(three_curve_law_cases())
+    def test_three_curve_laws_match_brute_force(self, case):
+        # the preset test's checks, run on bridges and walks of three curves
         type(self).test_laws_match_brute_force.hypothesis.inner_test(self, case)
 
 
@@ -891,9 +912,15 @@ class TestExactSample:
             b = ee.exact_sample(spec, lazy, tilt_of(), seed=11, count=4)
         assert all((x.heights == y.heights).all() for x, y in zip(a, b))
 
-    def test_zero_count(self, lazy):
+    def test_zero_count(self, lazy, monkeypatch):
         spec = bridge_spec(1, 0, 3, (1,), (2,), x_max=6)
-        assert ee.exact_sample(spec, lazy, tilt_of(), seed=0, count=0) == []
+        monkeypatch.setattr(ee, "_compute_messages", None)  # a message pass would raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = ee.exact_sample(spec, lazy, tilt_of(), seed=0, count=0)
+        assert len(paths) == 0
+        assert isinstance(paths, mc.PathBatch) and paths.spec is spec
+        assert paths.heights.shape == (0, 1, 4) and paths.heights.dtype == np.int64
 
     def test_negative_count_raises(self, lazy):
         spec = bridge_spec(1, 0, 3, (1,), (2,), x_max=6)
@@ -935,7 +962,7 @@ class TestExactSample:
         """A change of the random streams or of FFBS changes these draws."""
         make, digest = self.PINNED_DRAWS[name]
         spec, kernel, tilt, seed, count = make()
-        heights = np.stack([p.heights for p in ee.exact_sample(spec, kernel, tilt, seed=seed, count=count)])
+        heights = ee.exact_sample(spec, kernel, tilt, seed=seed, count=count).heights
         assert heights.shape == (count, spec.n, spec.width)
         assert hashlib.sha256(heights.astype("<i8").tobytes()).hexdigest() == digest
 
@@ -1011,7 +1038,7 @@ class TestReachCap:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             paths = ee.exact_sample(spec, kernel, tilt, seed=seed, count=count)
-        return np.stack([p.heights for p in paths]), [(w.category, str(w.message)) for w in seen]
+        return paths.heights, [(w.category, str(w.message)) for w in seen]
 
     @pytest.mark.parametrize("above", [-1, 0, 1])  # the reach less x_max's near band
     @pytest.mark.parametrize("kernel", ["srw", "lazy", "unit"])
@@ -1088,7 +1115,7 @@ class TestReachCap:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             samples = ee.exact_sample(spec, unit, tilt, seed=6, count=4000)
-        heights = np.stack([s.heights for s in samples])
+        heights = samples.heights
         law_spec = replace(spec, x_max=15)
         res = ee.ensemble_messages(law_spec, unit, tilt)
         ids = res.states.ids(heights.transpose(0, 2, 1))
@@ -1171,15 +1198,15 @@ class TestTvExact:
 class TestEngineInvariants:
     def test_partition_consistency_at_every_time(self, unit):
         spec = bridge_spec(2, -3, 3, (4, 2), (3, 1), x_max=30)
-        res = ee.partition_bridge(spec, unit, tilt_of(lam=0.7, b=3.0))
+        res = ee.ensemble_messages(spec, unit, tilt_of(lam=0.7, b=3.0))
         for c in range(spec.width):
             val = float(logsumexp(res.forward[c] + res.backward[c]))
             assert val == pytest.approx(res.log_z, abs=1e-9)
 
     def test_monotone_tilt_strictly_decreases_log_z(self, lazy):
         spec = walk_spec(1, 0, 5, (2,), x_max=25)
-        z1 = ee.partition_walk(spec, lazy, tilt_of(a=1.0, lam=0.5)).log_z
-        z2 = ee.partition_walk(spec, lazy, tilt_of(a=1.5, lam=0.5)).log_z
+        z1 = ee.ensemble_messages(spec, lazy, tilt_of(a=1.0, lam=0.5)).log_z
+        z2 = ee.ensemble_messages(spec, lazy, tilt_of(a=1.5, lam=0.5)).log_z
         assert z2 < z1
 
     def test_cutoff_stability_under_doubling(self, lazy):
@@ -1187,7 +1214,7 @@ class TestEngineInvariants:
         z = {}
         for x_max in (60, 120):
             spec = walk_spec(1, 0, 6, (1,), x_max=x_max)
-            z[x_max] = ee.partition_walk(spec, lazy, tilt_of(lam=lam)).log_z
+            z[x_max] = ee.ensemble_messages(spec, lazy, tilt_of(lam=lam)).log_z
         assert abs(z[120] - z[60]) < 1e-8
 
     def test_restriction_consistency(self, unit):

@@ -589,8 +589,7 @@ class TestForwardMemo:
             return out
 
         def run():
-            samples, _ = gs.sample_paths(spec, unit, tilt_of(lam=0.3), params)
-            return np.stack([p.heights for p in samples])
+            return gs.sample_paths(spec, unit, tilt_of(lam=0.3), params)[0].heights
 
         monkeypatch.setattr(gs._LocalSpace, "forward_rows", recorded)
         monkeypatch.setattr(gs._BlockMemo, "take", held)
@@ -728,15 +727,12 @@ class TestCandidateRows:
         spec, tilt = self.memo.CASES["gentle"]
         params = [gs.McmcParams(block_len=6, overlap=3, sweeps=30, burn_in=0, seed=s, chains=8) for s in (4, 5)]
 
-        def heights(samples):
-            return np.stack([p.heights for p in samples])
-
-        alone = [heights(gs.sample_paths(spec, unit, tilt, p)[0]) for p in params]
+        alone = [gs.sample_paths(spec, unit, tilt, p)[0].heights for p in params]
         start, out = threading.Barrier(2), [None, None]
 
         def run(i):
             start.wait()
-            out[i] = heights(gs.sample_paths(spec, unit, tilt, params[i])[0])
+            out[i] = gs.sample_paths(spec, unit, tilt, params[i])[0].heights
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
         for t in threads:
@@ -786,8 +782,7 @@ class TestSamplePaths:
             monkeypatch.setattr(gs._BlockMemo, "drop_rows", lambda memo: dropped.append(memo) or drop(memo))
         make, digest = self.PINNED_DRAWS[name]
         spec, tilt, params = make()
-        samples, _ = gs.sample_paths(spec, unit, tilt, params)
-        heights = np.stack([p.heights for p in samples])
+        heights = gs.sample_paths(spec, unit, tilt, params)[0].heights
         assert heights.shape == (params.chains * -(-params.sweeps // params.thin), spec.n, spec.width)
         assert hashlib.sha256(heights.astype("<i8").tobytes()).hexdigest() == digest
         assert budget is None or (len(made) > len(set(made)) and dropped)
@@ -796,7 +791,8 @@ class TestSamplePaths:
         spec = bridge_spec(1, 0, 4, (1,), (1,), x_max=8)
         params = gs.McmcParams(sweeps=0, burn_in=0, seed=1)
         samples, diags = gs.sample_paths(spec, lazy, tilt_of(), params)
-        assert samples == []
+        assert len(samples) == 0
+        assert isinstance(samples, mc.PathBatch) and samples.heights.shape == (0, 1, 5)
         assert diags.kept == 0
         assert diags.acceptance_ratio == 1.0
 
@@ -817,7 +813,7 @@ class TestSamplePaths:
         for seed in (100, 200):
             params = gs.McmcParams(block_len=8, overlap=4, sweeps=300, burn_in=30, seed=seed, chains=40)
             samples, _ = gs.sample_paths(spec, unit, tilt, params)
-            counts = np.bincount([s.heights[0, 8] for s in samples], minlength=81)
+            counts = np.bincount(samples.heights[:, 0, 8], minlength=81)
             out.append(counts / counts.sum())
         assert 0.5 * np.abs(out[0] - out[1]).sum() <= 0.03
 
@@ -829,7 +825,7 @@ class TestSamplePaths:
         for chunk in (1, 5, gs._SWEEP_CHUNK):
             monkeypatch.setattr(gs, "_SWEEP_CHUNK", chunk)
             samples, _ = gs.sample_paths(spec, unit, tilt_of(lam=0.4), params)
-            out.append(np.stack([s.heights for s in samples]))
+            out.append(samples.heights)
         assert (out[0] == out[1]).all() and (out[0] == out[2]).all()
 
     def test_geometric_factor_sweep_records_diagnostics(self, lazy):

@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -239,13 +240,13 @@ class TestSpecsAndPaths:
             mc.PathConfig(heights=bad, spec=spec)
         batch = np.stack([good, bad, good] if bad.shape == good.shape else [bad, bad])
         with pytest.raises(type(single.value)) as batched:
-            mc.path_configs(batch, spec)
+            mc.PathBatch(batch, spec)
         assert str(batched.value) == str(single.value)
 
     def test_batch_equals_single_construction(self):
         spec = _spec(2, 0, 3, (4, 2), (5, 1), x_max=9)
         heights = np.array([[[4, 5, 6, 5], [2, 1, 3, 1]], [[4, 4, 4, 5], [2, 3, 2, 1]]])
-        paths = mc.path_configs(heights.copy(), spec)
+        paths = mc.PathBatch(heights.copy(), spec)
         assert len(paths) == 2
         for p, h in zip(paths, heights):
             one = mc.PathConfig(heights=h, spec=spec)
@@ -253,7 +254,36 @@ class TestSpecsAndPaths:
             assert np.array_equal(p.heights, one.heights)
             with pytest.raises(ValueError):
                 p.heights[0, 1] = 3
-        assert mc.path_configs(np.zeros((0, 2, 4), dtype=np.int64), spec) == []
+        assert len(mc.PathBatch(np.zeros((0, 2, 4), dtype=np.int64), spec)) == 0
+
+    def test_batch_items_are_read_only_views(self):
+        spec = _spec(2, 0, 3, (4, 2), (5, 1), x_max=9)
+        heights = np.array([[[4, 5, 6, 5], [2, 1, 3, 1]], [[4, 4, 4, 5], [2, 3, 2, 1]]])
+        batch = mc.PathBatch(heights.copy(), spec)
+        assert isinstance(batch, Sequence) and len(batch) == 2
+        for i, p in enumerate(batch):
+            assert type(p) is mc.PathConfig and p.spec is spec
+            assert np.array_equal(p.heights, heights[i]) and np.shares_memory(p.heights, batch.heights[i])
+            with pytest.raises(ValueError):
+                p.heights[0, 1] = 3
+        assert np.shares_memory(batch[-1].heights, batch.heights[1])
+        with pytest.raises(IndexError):
+            batch[2]
+
+    def test_batch_slice_is_a_list_of_paths(self):
+        spec = _spec(2, 0, 3, (4, 2), (5, 1), x_max=9)
+        heights = np.array([[[4, 5, 6, 5], [2, 1, 3, 1]], [[4, 4, 4, 5], [2, 3, 2, 1]]])
+        batch = mc.PathBatch(heights, spec)
+        tail = batch[1:]
+        assert type(tail) is list and len(tail) == 1 and type(tail[0]) is mc.PathConfig
+        assert np.array_equal(tail[0].heights, heights[1])
+        assert batch[:0] == [] and [p.heights.shape for p in batch[::-1]] == [(2, 4), (2, 4)]
+
+    def test_batches_compare_by_identity(self):
+        spec = _spec(1, 0, 2, (3,), (4,), x_max=9)
+        heights = np.array([[[3, 5, 4]], [[3, 4, 4]]])
+        batch = mc.PathBatch(heights, spec)
+        assert batch == batch and batch != mc.PathBatch(heights, spec)
 
     def test_default_x_max_rule(self):
         assert mc.default_x_max(0.5, 1) == math.ceil(30 / 0.5 + 1 + 5)
