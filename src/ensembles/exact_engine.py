@@ -731,7 +731,7 @@ def pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     be (1, K) to share one row among all R uniforms in ``u``."""
     if cum.shape[0] == 1:
         return np.searchsorted(cum[0], u * cum[0, -1], side="right")
-    return (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+    return (cum <= (u * cum[:, -1])[:, None]).argmin(axis=1)  # cum is non-decreasing: the first False
 
 
 def categorical(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -786,7 +786,13 @@ def sample_draws(spec: EnsembleSpec) -> int:
 
 def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
     """(R, n, width) heights of R exact draws from the ensemble behind
-    ``res``, one per row of the (R, sample_draws) uniforms ``us``.
+    ``res``, one per row of the (R, sample_draws) uniforms ``us``: the
+    states that ``sample_ids`` draws."""
+    return np.ascontiguousarray(res.states.arr[sample_ids(res, us)].transpose(1, 2, 0))
+
+
+def sample_ids(res: TransferResult, us: np.ndarray) -> np.ndarray:
+    """(width, R) state ids of the R exact draws of ``sample_heights``.
 
     A draw weighs its candidates, read from the rows of ``matrix_t``, in
     log space, forward[t] + log_tilt + log p, and takes their
@@ -804,8 +810,7 @@ def sample_heights(res: TransferResult, us: np.ndarray) -> np.ndarray:
         return cand, cumulative_weights(log_w)
 
     last = states.ids(spec.boundary.v) if isinstance(spec.boundary, Bridge) else forward[-1][None, :]
-    ids = ffbs(spec.width - 1, states.ids(spec.boundary.u), last, us, weigh)
-    return np.ascontiguousarray(states.arr[ids].transpose(1, 2, 0))
+    return ffbs(spec.width - 1, states.ids(spec.boundary.u), last, us, weigh)
 
 
 def _reach(spec: EnsembleSpec, kernel: Kernel) -> int:

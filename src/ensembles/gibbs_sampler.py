@@ -20,10 +20,15 @@ The cumulative weights of each (start, time, state) row are stored
 beside the memo table on the row's first visit and read back on every
 later one, so a chain that comes back to a row does not weigh it again.
 Each sampling run owns its local spaces and their memos, which count
-against the budget together.  The starting configurations are one exact
-draw (``ee.sample_heights``, weighed in log space) from the untilted
-ensemble.  Kept samples are stored in one array and validated once per
-run.
+against the budget together, and builds its sweep plan once.  A chain
+holds state ids, not heights.  The states are sorted top curve first, so
+a smaller cap's states are the first ones of a larger cap's space, in the
+same order, and an id names the same state on every local space: a block
+reads its ends and writes its draws as ids, its cap taken from the top
+of its highest end, read from a table of C(x, n).  The starting ids are
+one exact draw (``ee.sample_ids``, weighed in log space) from the
+untilted ensemble.  Each kept sweep is turned into heights in one array,
+validated once per run.
 """
 
 from __future__ import annotations
@@ -166,8 +171,8 @@ class _BlockMemo:
     def build(self, keys: np.ndarray) -> np.ndarray:
         """The cumulative rows of the distinct ``keys``."""
         nxt = keys % self.table.shape[2]
-        log_w = self.table.reshape(-1)[(keys - nxt)[:, None] + self.pred[nxt]] + self.log_probs[nxt]
-        return ee.cumulative_weights(log_w)
+        pos = (keys - nxt)[:, None] + self.pred.take(nxt, axis=0)
+        return ee.cumulative_weights(self.table.reshape(-1)[pos] + self.log_probs.take(nxt, axis=0))
 
     def take(self, keys: np.ndarray, spaces: dict[int, _LocalSpace]) -> np.ndarray:
         """The (R, K) cumulative rows at ``keys``, each built on its first
@@ -192,7 +197,7 @@ class _BlockMemo:
             self.at[new] = self.used + np.arange(new.size)
             self.used += new.size
             at = self.at[keys]
-        return self.store[at]
+        return self.store.take(at, axis=0)  # on (R, K) rows, take costs a third of fancy indexing
 
 
 def _held(spaces: dict[int, _LocalSpace]) -> int:
@@ -302,6 +307,47 @@ def _colour_groups(spec: EnsembleSpec, blocks) -> list[tuple[list, list[int]]]:
     return [groups[key] for key in sorted(groups, key=lambda key: key[0])]
 
 
+class _SweepPlan:
+    """One run's sweep, built once: per colour group one batched redraw,
+    (blocks, cols, draws), with the (B, m + 1) columns its blocks span and
+    the (B, draws) columns of the sweep's uniforms they read; and
+    ``choose[k, x]`` = C(x, k) for k <= n and x <= x_max.  A chain holds
+    state ids, which name the same state on every local space of the run:
+    the states are sorted top curve first, so those with top <= c are the
+    first C(c, n) of every larger cap's space, in the same order.  State
+    (x_0 > … > x_{n-1}) has id sum_i C(x_i - 1, n - i)."""
+
+    def __init__(self, spec: EnsembleSpec, groups: Sequence[tuple[list, list[int]]]):
+        self.spec = spec
+        big = np.iinfo(np.int64).max  # past every state id
+        self.choose = np.array([[min(math.comb(x, k), big) for x in range(spec.x_max + 1)] for k in range(spec.n + 1)])
+        self.groups = []
+        for blocks, offs in groups:
+            k0, l0 = blocks[0]
+            m, n_draw = (spec.n_right if l0 is None else l0) - k0, _block_draws(spec, blocks[0])
+            cols = np.array([spec.col(k) for k, _ in blocks])[:, None] + np.arange(m + 1)
+            self.groups.append((blocks, cols, np.add.outer(offs, np.arange(n_draw))))
+
+    def top(self, ids: np.ndarray) -> int:
+        """The top curve's height in the highest of ``ids``, the least x
+        with C(x, n) > id; it does not fall as the id grows."""
+        return int(self.choose[-1].searchsorted(ids.max(), side="right"))
+
+    def ids(self, heights: np.ndarray) -> np.ndarray:
+        """The (..., width) state ids of (..., n, width) heights."""
+        n = self.spec.n
+        return sum(self.choose[n - i][heights[..., i, :] - 1] for i in range(n))
+
+    def heights(self, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the (..., n, width) heights of (..., width) ``ids`` to
+        ``out``, top curve first: the least x with C(x, n - i) above what
+        the curves above leave of the id."""
+        for i, row in enumerate(self.choose[:0:-1]):
+            out[..., i, :] = x = row.searchsorted(ids, side="right")
+            ids = ids - row[x - 1]
+        return out
+
+
 # ---------------------------------------------------------------------------
 # batched block resampling
 
@@ -323,66 +369,51 @@ def _local_cutoff(spec: EnsembleSpec, kernel: Kernel, m: int, start_top: int, en
 
 
 def _apply_block_batch(
-    heights: np.ndarray,
-    spec: EnsembleSpec,
+    ids: np.ndarray,
+    plan: _SweepPlan,
     kernel: Kernel,
     tilt: TiltSpec,
-    blocks: Sequence[tuple[int, int | None]],
+    group: tuple[list, np.ndarray, np.ndarray],
     us: np.ndarray,
-    offs: Sequence[int],
     spaces: dict[int, _LocalSpace],
 ) -> None:
-    """Exact conditional redraw of blocks of one length and end kind for
-    every chain, on one batch axis of chains × blocks (chain-major).
+    """Exact conditional redraw of one group of ``plan`` for every chain,
+    on one batch axis of chains × blocks (chain-major).
 
-    ``heights`` is (chains, n, width) and is modified in place; ``us`` is
-    the per-sweep uniform buffer (chains, draws), and block i reads its
-    draws from column ``offs[i]`` on.  No block may redraw another's
-    columns or endpoints, as within one colour of ``_colour_groups``.
-    ``spaces`` holds the local spaces of the run, keyed by local cap; the
-    block's space is added on first use."""
-    k0, l0 = blocks[0]
-    free = l0 is None
-    m = (spec.n_right - k0) if free else (l0 - k0)
-    n_draw = _block_draws(spec, blocks[0])
+    ``ids`` is the chains' (chains, width) state ids and is modified in
+    place; ``us`` is the per-sweep uniform buffer (chains, draws), read at
+    the group's ``draws``.  No block may redraw another's columns or
+    endpoints, as within one colour of ``_colour_groups``.  ``spaces``
+    holds the local spaces of the run, keyed by local cap; the block's
+    space is added on first use."""
+    spec, (blocks, cols, draws) = plan.spec, group
+    free, m, n_draw = blocks[0][1] is None, cols.shape[1] - 1, draws.shape[1]
     if n_draw == 0:
         return
-    cols = np.array([spec.col(k) for k, _ in blocks])[:, None] + np.arange(m + 1)  # (B, m + 1)
-    win = heights[:, :, cols].transpose(0, 2, 1, 3).reshape(-1, spec.n, m + 1)  # (chains·B, n, m + 1)
-    block_us = us[:, np.add.outer(offs, np.arange(n_draw))].reshape(-1, n_draw)
-    end_top = None if free else int(win[:, 0, m].max())
-    x_loc = _local_cutoff(spec, kernel, m, int(win[:, 0, 0].max()), end_top)
+    start, end = ids[:, cols[:, 0]].reshape(-1), ids[:, cols[:, m]].reshape(-1)  # (chains·B,)
+    x_loc = _local_cutoff(spec, kernel, m, plan.top(start), None if free else plan.top(end))
     if x_loc not in spaces:
         spaces[x_loc] = _LocalSpace(ee.chamber(spec.n, x_loc, kernel).tilted(tilt), kernel.max_step)
     local = spaces[x_loc]
-    states = local.step.chamber.states
-    start = states.ids(win[:, :, 0])
+    size = local.step.chamber.states.size
     slot, memo = local.forward_rows(m, start, spaces)
-    base = slot * ((m + 1) * states.size)  # where each row's table starts, flat
+    base = slot * ((m + 1) * size)  # where each row's table starts, flat
 
     def weigh(t, nxt):
-        return memo.pred[nxt], memo.take(base + t * states.size + nxt, spaces)
+        return memo.pred.take(nxt, axis=0), memo.take(base + t * size + nxt, spaces)
 
-    last = memo.table[slot, m] if free else states.ids(win[:, :, m])
-    idx = ee.ffbs(m, start, last, block_us, weigh)
+    idx = ee.ffbs(m, start, memo.table[slot, m] if free else end, us[:, draws].reshape(-1, n_draw), weigh)
     stop = m if free else m - 1
-    drawn = states.arr[idx[1 : stop + 1]]  # (stop, chains·B, n)
-    heights[:, :, cols[:, 1 : stop + 1]] = drawn.reshape(stop, -1, len(blocks), spec.n).transpose(1, 3, 2, 0)
+    ids[:, cols[:, 1 : stop + 1]] = idx[1 : stop + 1].T.reshape(len(ids), len(blocks), stop)
 
 
 def _sweep_batch(
-    heights: np.ndarray,
-    spec: EnsembleSpec,
-    kernel: Kernel,
-    tilt: TiltSpec,
-    blocks,
-    us: np.ndarray,
-    spaces: dict[int, _LocalSpace],
+    ids: np.ndarray, plan: _SweepPlan, kernel: Kernel, tilt: TiltSpec, us: np.ndarray, spaces: dict[int, _LocalSpace]
 ) -> None:
-    """One sweep in colour order, one batched redraw per colour group,
-    on the local spaces of the run in ``spaces``."""
-    for group, offs in _colour_groups(spec, blocks):
-        _apply_block_batch(heights, spec, kernel, tilt, group, us, offs, spaces)
+    """One sweep in colour order, one batched redraw per group of
+    ``plan``, on the local spaces of the run in ``spaces``."""
+    for group in plan.groups:
+        _apply_block_batch(ids, plan, kernel, tilt, group, us, spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +439,11 @@ def _untilted_messages(spec: EnsembleSpec, kernel: Kernel) -> ee.TransferResult:
         x_init = min(spec.x_max, 2 * x_init)
 
 
-def _init_heights(spec: EnsembleSpec, kernel: Kernel, gens: Sequence[np.random.Generator]) -> np.ndarray:
-    """(chains, n, width) exact draws from the untilted wall-constrained
-    ensemble, one batched draw with one generator per chain."""
-    res = _untilted_messages(spec, kernel)
-    k = ee.sample_draws(spec)
-    return ee.sample_heights(res, np.array([g.random(k) for g in gens]))
+def _init_ids(spec: EnsembleSpec, kernel: Kernel, gens: Sequence[np.random.Generator]) -> np.ndarray:
+    """(chains, width) state ids of exact draws from the untilted
+    wall-constrained ensemble, one batched draw with one generator per chain."""
+    us = np.array([g.random(ee.sample_draws(spec)) for g in gens])
+    return np.ascontiguousarray(ee.sample_ids(_untilted_messages(spec, kernel), us).T)
 
 
 def init_config(spec: EnsembleSpec, kernel: Kernel, rng: np.random.Generator | None = None) -> PathConfig:
@@ -425,7 +455,8 @@ def init_config(spec: EnsembleSpec, kernel: Kernel, rng: np.random.Generator | N
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    return PathConfig(heights=_init_heights(spec, kernel, [rng])[0], spec=spec)
+    us = rng.random((1, ee.sample_draws(spec)))
+    return PathConfig(heights=ee.sample_heights(_untilted_messages(spec, kernel), us)[0], spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +484,11 @@ def resample_block(
         raise ValueError("need m_left <= K <= n_right")
     block = (K, None) if free else (K, L)
     n_draw = _block_draws(spec, block)
-    heights = config.heights[None, :, :].copy()
+    plan, heights = _SweepPlan(spec, [([block], [0])]), config.heights[None, :, :].copy()
+    ids = plan.ids(heights)
     us = rng.random(n_draw)[None, :] if n_draw else np.zeros((1, 0))
-    _apply_block_batch(heights, spec, kernel, tilt, [block], us, [0], {})
-    return config.with_heights(heights[0])
+    _apply_block_batch(ids, plan, kernel, tilt, plan.groups[0], us, {})
+    return config.with_heights(plan.heights(ids, heights)[0])
 
 
 def sweep(
@@ -473,10 +505,11 @@ def sweep(
     spec = config.spec
     blocks = _blocks_schedule(spec, params)
     n_draw = _sweep_draws(spec, blocks)
-    heights = config.heights[None, :, :].copy()
+    plan, heights = _SweepPlan(spec, _colour_groups(spec, blocks)), config.heights[None, :, :].copy()
+    ids = plan.ids(heights)
     us = rng.random(n_draw)[None, :] if n_draw else np.zeros((1, 0))
-    _sweep_batch(heights, spec, kernel, tilt, blocks, us, {})
-    return config.with_heights(heights[0])
+    _sweep_batch(ids, plan, kernel, tilt, us, {})
+    return config.with_heights(plan.heights(ids, heights)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +528,8 @@ def sample_paths(
     n_draw = _sweep_draws(spec, blocks)
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(params.seed).spawn(params.chains)]
     r = params.chains
-    heights = _init_heights(spec, kernel, gens)
+    ids = _init_ids(spec, kernel, gens)
+    plan = _SweepPlan(spec, _colour_groups(spec, blocks))
     spaces: dict[int, _LocalSpace] = {}  # the run's local spaces and their memos
 
     t_center = (spec.m_left + spec.n_right) // 2
@@ -503,7 +537,7 @@ def sample_paths(
     curve_w = tilt.curve_weights(spec.n)
 
     n_kept = -(-params.sweeps // params.thin)
-    kept = np.empty((n_kept, r) + heights.shape[1:], dtype=heights.dtype)  # sweep-major
+    kept = np.empty((n_kept, r, spec.n, spec.width), dtype=np.int64)  # sweep-major
     area = np.empty((n_kept, r))
     total = params.burn_in + params.sweeps
     t0 = time.perf_counter()
@@ -511,14 +545,14 @@ def sample_paths(
         if s_i % _SWEEP_CHUNK == 0:  # random((k, d)) gives the values of k calls random(d)
             k = min(_SWEEP_CHUNK, total - s_i)
             chunk = np.stack([g.random((k, n_draw)) for g in gens], axis=1)  # (k, chains, draws)
-        _sweep_batch(heights, spec, kernel, tilt, blocks, chunk[s_i % _SWEEP_CHUNK], spaces)
+        _sweep_batch(ids, plan, kernel, tilt, chunk[s_i % _SWEEP_CHUNK], spaces)
         j, off = divmod(s_i - params.burn_in, params.thin)
         if j >= 0 and off == 0:
-            kept[j] = heights
+            heights = plan.heights(ids, kept[j])
             v = tilt.potential.value(heights[:, :, :-1].astype(float))
             area[j] = np.einsum("rnt,n->r", v, curve_w)
     elapsed = time.perf_counter() - t0
-    samples = PathBatch(kept.reshape((-1,) + heights.shape[1:]), spec)
+    samples = PathBatch(kept.reshape(-1, spec.n, spec.width), spec)
 
     tau: dict = {"x1_center": None, "area": None}
     ess: dict = {"x1_center": None, "area": None}

@@ -176,6 +176,22 @@ def searched_curve_factors(states, kernel: mc.Kernel):
     return tuple(factors)
 
 
+def chain_ids(heights, spec: mc.EnsembleSpec) -> np.ndarray:
+    """The (..., width) state ids of (..., n, width) heights, as a block
+    sampler's chains hold them: ids on the states of the spec's cap, which
+    name the same states on every smaller cap that holds them."""
+    from ensembles import exact_engine as ee
+
+    return ee.enumerate_states(spec.n, spec.x_max).ids(np.swapaxes(heights, -1, -2))
+
+
+def chain_heights(ids, spec: mc.EnsembleSpec) -> np.ndarray:
+    """The (..., n, width) heights of (..., width) state ids: the inverse of ``chain_ids``."""
+    from ensembles import exact_engine as ee
+
+    return np.ascontiguousarray(np.swapaxes(ee.enumerate_states(spec.n, spec.x_max).arr[ids], -1, -2))
+
+
 def rng_instances(seed: int):
     return np.random.default_rng(seed)
 

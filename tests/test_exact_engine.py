@@ -83,6 +83,19 @@ class TestStateSpace:
         cols = s.arr[::-1].reshape(5, 7, 3)
         assert s.ids(cols).tolist() == [[s.id_of(c) for c in row] for row in cols]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_smaller_caps_are_prefixes_and_ids_name_their_tops(self, n):
+        # the block sampler's chains carry ids across local spaces of all caps
+        for b in range(n + 1, n + 8):
+            big = ee.enumerate_states(n, b)
+            for a in range(n, b):
+                assert (ee.enumerate_states(n, a).arr == big.arr[: math.comb(a, n)]).all()
+            plan = gs._SweepPlan(walk_spec(n, 0, 1, tuple(range(n, 0, -1)), b), [])
+            assert [plan.top(np.array([s])) for s in range(big.size)] == big.arr[:, 0].tolist()
+            heights = plan.heights(np.arange(big.size)[:, None], np.empty((big.size, n, 1), dtype=np.int64))
+            assert (heights[:, :, 0] == big.arr).all()
+            assert plan.ids(big.arr[:, :, None]).ravel().tolist() == list(range(big.size))
+
     @pytest.mark.parametrize("col", [(1, 2), (3, 3), (2, 6), (1, 0), (0, -4)])
     def test_ids_reject_non_states(self, col):
         # (2, 6) has the key of (3, 1) and (1, 0) that of (0, 5) in base 5
@@ -233,11 +246,12 @@ class TestStepMatrix:
             warnings.simplefilter("ignore", ee.CutoffDominatedWarning)
             ee.exact_sample(spec, unit, tilt_of(), seed=3, count=5)
         assert len(calls) == 1
-        heights = gs._init_heights(spec, unit, [np.random.default_rng(0)])  # exact_sample's chamber, x_max = 8
+        ids = gs._init_ids(spec, unit, [np.random.default_rng(0)])  # exact_sample's chamber, x_max = 8
         assert len(calls) == 1
         # the full-window block's reach cutoff, 12, is capped at x_max = 9
         spaces, us = {}, np.full((1, 5), 0.5)
-        gs._apply_block_batch(heights, replace(spec, x_max=9), unit, tilt_of(), [(0, 6)], us, [0], spaces)
+        plan = gs._SweepPlan(replace(spec, x_max=9), [([(0, 6)], [0])])
+        gs._apply_block_batch(ids, plan, unit, tilt_of(), plan.groups[0], us, spaces)
         assert list(spaces) == [9] and spaces[9].step.chamber is ee.chamber(2, 9, unit)
         assert len(calls) == 2
 
@@ -1146,6 +1160,13 @@ class TestCategorical:
         log_w = np.array([[-np.inf, 0.0, 0.0, 0.0, -np.inf]])
         assert ee.categorical(log_w, np.array([u])).tolist() == [expected]
         assert ee.categorical(np.repeat(log_w, 2, axis=0), np.array([u, u])).tolist() == [expected] * 2
+
+    @pytest.mark.parametrize("u,expected", [(0.0, 1), (0.5, 4), (np.nextafter(1.0, 0.0), 4)])
+    def test_zero_weight_run_inside_never_drawn(self, u, expected):
+        # two rows take pick's row-wise path; the run of -inf makes a flat stretch of cum
+        log_w = np.array([[-np.inf, 0.0, -np.inf, -np.inf, 0.0, -np.inf]] * 2)
+        assert ee.categorical(log_w, np.array([u, u])).tolist() == [expected] * 2
+        assert ee.categorical(log_w[:1], np.array([u])).tolist() == [expected]
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from conftest import chain_heights, chain_ids
 from ensembles import exact_engine as ee
 from ensembles import gibbs_sampler as gs
 from ensembles import model_core as mc
@@ -21,6 +22,18 @@ def bridge_spec(n, m, nr, u, v, x_max):
 
 def walk_spec(n, m, nr, u, x_max):
     return mc.EnsembleSpec(n=n, m_left=m, n_right=nr, boundary=mc.Walk(u=u), x_max=x_max)
+
+
+def redraw(ids, spec, kernel, tilt, blocks, us, offs, spaces):
+    """One ``_apply_block_batch`` call on ``blocks``, block i reading its
+    uniforms from column ``offs[i]`` on."""
+    plan = gs._SweepPlan(spec, [(blocks, offs)])
+    gs._apply_block_batch(ids, plan, kernel, tilt, plan.groups[0], us, spaces)
+
+
+def sweep_batch(ids, spec, kernel, tilt, blocks, us, spaces):
+    """One ``_sweep_batch`` call on the colour groups of ``blocks``."""
+    gs._sweep_batch(ids, gs._SweepPlan(spec, gs._colour_groups(spec, blocks)), kernel, tilt, us, spaces)
 
 
 class TestParams:
@@ -168,9 +181,10 @@ class TestSteepTilt:
         assert np.isfinite(res.log_z)
         exact = ee.marginal_from_messages(res, 9)
         cfg = gs.init_config(spec, unit, rng=np.random.default_rng(3))
-        heights = np.repeat(cfg.heights[None], 2000, axis=0)
+        ids = chain_ids(np.repeat(cfg.heights[None], 2000, axis=0), spec)
         us = np.random.default_rng(22).random((2000, 10))
-        gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0], {})
+        redraw(ids, spec, unit, tilt, [(0, None)], us, [0], {})
+        heights = chain_heights(ids, spec)
         counts = np.bincount(
             [res.states.id_of(tuple(h)) for h in heights[:, :, 9]], minlength=res.states.size
         )
@@ -199,10 +213,11 @@ class TestRareMoveRedraw:
         paths = list(law)
         index = {p: i for i, p in enumerate(paths)}
         chains = 400
-        heights = np.repeat(np.array([[u] * width + [v]])[None], chains, axis=0)
+        ids = chain_ids(np.repeat(np.array([[u] * width + [v]])[None], chains, axis=0), spec)
         us = np.random.default_rng(41).random((chains, width - 1))
         tilt = tilt_of(a=self.A, b=self.B, lam=self.LAM)
-        gs._apply_block_batch(heights, spec, kernel, tilt, [(0, width)], us, [0], {})
+        redraw(ids, spec, kernel, tilt, [(0, width)], us, [0], {})
+        heights = chain_heights(ids, spec)
         counts = np.zeros(len(paths))
         for h in heights:
             path = tuple((int(x),) for x in h[0])
@@ -221,9 +236,10 @@ class TestRareMoveRedraw:
         spec = walk_spec(3, 0, 10, (14, 13, 12), x_max=16)
         res = ee.ensemble_messages(spec, unit, tilt)
         cfg = gs.init_config(spec, unit, rng=np.random.default_rng(3))
-        heights = np.repeat(cfg.heights[None], 2000, axis=0)
+        ids = chain_ids(np.repeat(cfg.heights[None], 2000, axis=0), spec)
         us = np.random.default_rng(23).random((2000, 10))
-        gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0], {})
+        redraw(ids, spec, unit, tilt, [(0, None)], us, [0], {})
+        heights = chain_heights(ids, spec)
         assert all(mc.log_tilt_weight(mc.PathConfig(heights=h, spec=spec), tilt) > mc.NEG_INF for h in heights)
         ends = res.states.ids(heights[:, :, 10])
         counts = np.bincount(ends, minlength=res.states.size)
@@ -273,7 +289,9 @@ class TestSweep:
         blocks = gs._blocks_schedule(spec, gs.McmcParams(block_len=3, overlap=1))
         n_draw = sum(gs._block_draws(spec, blk) for blk in blocks)
         us = rng.random((n_chains, n_draw))
-        gs._sweep_batch(heights, spec, lazy, tilt, blocks, us, {})
+        ids = chain_ids(heights, spec)
+        sweep_batch(ids, spec, lazy, tilt, blocks, us, {})
+        heights = chain_heights(ids, spec)
         counts = np.bincount(
             [res.states.id_of(tuple(h)) for h in heights[:, :, 2]], minlength=s
         )
@@ -349,7 +367,7 @@ class TestColouring:
     def test_batched_redraws_per_sweep(self, unit, monkeypatch, spec, calls):
         seen = []
         apply = gs._apply_block_batch
-        monkeypatch.setattr(gs, "_apply_block_batch", lambda *a: seen.append(a[4]) or apply(*a))
+        monkeypatch.setattr(gs, "_apply_block_batch", lambda *a: seen.append(a[4][0]) or apply(*a))
         cfg = gs.init_config(spec, unit)
         gs.sweep(cfg, gs.McmcParams(block_len=8, overlap=4), tilt_of(lam=0.3), unit, np.random.default_rng(1))
         assert len(seen) == calls
@@ -361,12 +379,13 @@ class TestColouring:
         blocks = gs._blocks_schedule(spec, gs.McmcParams(block_len=8, overlap=4))
         cfg = gs.init_config(spec, unit, rng=np.random.default_rng(6))
         us = np.random.default_rng(7).random((16, gs._sweep_draws(spec, blocks)))
-        together = np.repeat(cfg.heights[None], 16, axis=0)
-        gs._sweep_batch(together, spec, unit, tilt, blocks, us, {})
-        one_by_one, spaces = np.repeat(cfg.heights[None], 16, axis=0), {}
+        together = chain_ids(np.repeat(cfg.heights[None], 16, axis=0), spec)
+        sweep_batch(together, spec, unit, tilt, blocks, us, {})
+        one_by_one, spaces = chain_ids(np.repeat(cfg.heights[None], 16, axis=0), spec), {}
         for group, offs in gs._colour_groups(spec, blocks):
             for block, off in zip(group, offs):
-                gs._apply_block_batch(one_by_one, spec, unit, tilt, [block], us, [off], spaces)
+                redraw(one_by_one, spec, unit, tilt, [block], us, [off], spaces)
+        together, one_by_one = chain_heights(together, spec), chain_heights(one_by_one, spec)
         assert (together == one_by_one).all()
         assert (together != cfg.heights).any()
 
@@ -398,10 +417,10 @@ class TestColouring:
                 return cutoffs[-1]
 
             monkeypatch.setattr(gs, "_local_cutoff", cutoff)
-            heights, spaces = np.repeat(cfg.heights[None], 64, axis=0), {}
+            ids, spaces = chain_ids(np.repeat(cfg.heights[None], 64, axis=0), spec), {}
             for _ in range(3):
-                gs._sweep_batch(heights, spec, unit, tilt, blocks, us, spaces)
-            out.append(heights)
+                sweep_batch(ids, spec, unit, tilt, blocks, us, spaces)
+            out.append(chain_heights(ids, spec))
         assert max(cutoffs[: len(cutoffs) // 2]) < spec.x_max
         assert (out[0] == out[1]).all()
 
@@ -464,10 +483,11 @@ class TestColouredSweepKernel:
         start = max(paths, key=lambda p: sum(p[4]))  # a high path, far from typical
         cfg = mc.PathConfig(heights=np.array(start).T, spec=spec)
         chains = 20_000
-        heights = np.repeat(cfg.heights[None], chains, axis=0)
+        ids = chain_ids(np.repeat(cfg.heights[None], chains, axis=0), spec)
         us = np.random.default_rng(31).random((chains, gs._sweep_draws(spec, blocks)))
         tilt = tilt_of(a=self.A, b=self.B, lam=self.LAM)
-        gs._sweep_batch(heights, spec, lazy, tilt, blocks, us, {})
+        sweep_batch(ids, spec, lazy, tilt, blocks, us, {})
+        heights = chain_heights(ids, spec)
         counts = np.bincount(
             [index[tuple(map(tuple, h.T))] for h in heights], minlength=len(paths)
         )
@@ -499,16 +519,17 @@ class TestForwardMemo:
     def _sweeps(self, spec, heights, us, tilt, kernel, spaces, one_by_one=False):
         """Sweeps of one run on the local spaces in ``spaces``."""
         blocks = gs._blocks_schedule(spec, self.PARAMS)
+        ids = chain_ids(heights, spec)
         for row in us:
             if not one_by_one:
-                gs._sweep_batch(heights, spec, kernel, tilt, blocks, row, spaces)
+                sweep_batch(ids, spec, kernel, tilt, blocks, row, spaces)
                 continue
             for group, offs in gs._colour_groups(spec, blocks):
                 for block, off in zip(group, offs):
-                    for c in range(len(heights)):
+                    for c in range(len(ids)):
                         one = slice(c, c + 1)
-                        gs._apply_block_batch(heights[one], spec, kernel, tilt, [block], row[one], [off], spaces)
-        return heights
+                        redraw(ids[one], spec, kernel, tilt, [block], row[one], [off], spaces)
+        return chain_heights(ids, spec)
 
     def _start(self, spec, unit, chains):
         cfg = gs.init_config(spec, unit, rng=np.random.default_rng(12))
@@ -602,6 +623,19 @@ class TestForwardMemo:
         # the run keeps to the budget, or holds only the current call's rows
         assert all(size <= budget or alone for size, alone in seen)
 
+    def test_chains_carry_ids_on_one_plan(self, unit, monkeypatch):
+        # after the start draw, a run looks up no state id from heights, and
+        # it colours its schedule once, not once per sweep
+        looked_up, starts, coloured = [], [], []
+        ids, init, colour = ee.StateSpace.ids, gs._init_ids, gs._colour_groups
+        monkeypatch.setattr(ee.StateSpace, "ids", lambda states, cols: looked_up.append(len(starts)) or ids(states, cols))
+        monkeypatch.setattr(gs, "_init_ids", lambda *a: starts.append(init(*a)) or starts[-1])
+        monkeypatch.setattr(gs, "_colour_groups", lambda *a: coloured.append(a) or colour(*a))
+        spec, tilt = self.CASES["gentle"]
+        gs.sample_paths(spec, unit, tilt, gs.McmcParams(block_len=6, overlap=3, sweeps=20, burn_in=5, seed=2, chains=6))
+        assert len(starts) == 1 and looked_up and set(looked_up) == {0}
+        assert len(coloured) == 1
+
     def test_sample_paths_grows_no_module_container(self, unit):
         import sys
 
@@ -665,9 +699,9 @@ class TestCandidateRows:
         out = []
         for take in (gs._BlockMemo.take, _fresh_rows):
             monkeypatch.setattr(gs._BlockMemo, "take", take)
-            heights = np.repeat(cfg.heights[None], 500, axis=0)
-            gs._apply_block_batch(heights, spec, unit, tilt, [(0, None)], us, [0], {})
-            out.append(heights)
+            ids = chain_ids(np.repeat(cfg.heights[None], 500, axis=0), spec)
+            redraw(ids, spec, unit, tilt, [(0, None)], us, [0], {})
+            out.append(chain_heights(ids, spec))
         assert (out[0] == out[1]).all()
         assert len(np.unique(out[0].reshape(500, -1), axis=0)) > 5
 
@@ -712,12 +746,12 @@ class TestCandidateRows:
     def test_zero_mass_row_raises_and_is_not_stored(self, unit):
         # the pinned end 12 is 11 sites from the start, beyond 4 steps of 2
         spec = bridge_spec(1, 0, 4, (1,), (1,), x_max=20)
-        heights = np.array([[[1, 2, 3, 4, 12]]])
+        ids = chain_ids(np.array([[[1, 2, 3, 4, 12]]]), spec)
         us = np.full((1, 3), 0.5)
         spaces = {}
         for _ in range(2):
             with pytest.raises(ValueError, match="^cannot sample from zero mass$"):
-                gs._apply_block_batch(heights, spec, unit, tilt_of(), [(0, 4)], us, [0], spaces)
+                redraw(ids, spec, unit, tilt_of(), [(0, 4)], us, [0], spaces)
         memo = spaces[12].memo[4]
         assert memo.used == 0 and (memo.at == -1).all()
 
